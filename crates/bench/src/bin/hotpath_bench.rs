@@ -42,9 +42,26 @@ enum ProbeMode {
     Batched,
 }
 
-fn run_corners(args: &BenchArgs, mode: ProbeMode) -> (Vec<McResult>, McPerf) {
+/// One mode's totals over the Table II corners.
+struct ModeRun {
+    results: Vec<McResult>,
+    perf: McPerf,
+    /// Worker threads each corner ran on.
+    threads: usize,
+}
+
+impl ModeRun {
+    /// Probe transients per offset sample (delay probes included).
+    fn probes_per_offset_sample(&self) -> f64 {
+        let samples: usize = self.results.iter().map(|r| r.offsets.len()).sum();
+        self.perf.probes as f64 / samples.max(1) as f64
+    }
+}
+
+fn run_corners(args: &BenchArgs, mode: ProbeMode) -> ModeRun {
     let mut results = Vec::new();
     let mut total = McPerf::default();
+    let mut threads = 0;
     for spec in paper::table2() {
         let mut cfg: McConfig = args.config(
             spec.kind,
@@ -57,6 +74,7 @@ fn run_corners(args: &BenchArgs, mode: ProbeMode) -> (Vec<McResult>, McPerf) {
             ProbeMode::Fast => {}
             ProbeMode::Batched => cfg.batch_lanes = BATCH_LANES,
         }
+        threads = cfg.worker_threads();
         let r = run_mc(&cfg).unwrap_or_else(|e| issa_bench::exit_mc_failure(spec.label, &e));
         total.offset_wall_s += r.perf.offset_wall_s;
         total.delay_wall_s += r.perf.delay_wall_s;
@@ -64,21 +82,29 @@ fn run_corners(args: &BenchArgs, mode: ProbeMode) -> (Vec<McResult>, McPerf) {
         total.circuit = total.circuit.saturating_add(&r.perf.circuit);
         results.push(r);
     }
-    (results, total)
+    ModeRun {
+        results,
+        perf: total,
+        threads,
+    }
 }
 
-fn json_mode(p: &McPerf) -> String {
+fn json_mode(run: &ModeRun) -> String {
+    let p = &run.perf;
     format!(
         concat!(
-            "{{\"wall_s\": {:.3}, \"offset_wall_s\": {:.3}, \"delay_wall_s\": {:.3}, ",
-            "\"probes\": {}, \"transients\": {}, \"timesteps\": {}, ",
+            "{{\"threads\": {}, \"wall_s\": {:.3}, \"offset_wall_s\": {:.3}, \"delay_wall_s\": {:.3}, ",
+            "\"probes\": {}, \"probes_per_offset_sample\": {:.3}, ",
+            "\"transients\": {}, \"timesteps\": {}, ",
             "\"newton_iterations\": {}, \"lu_factorizations\": {}, ",
             "\"recovery_attempts\": {}, \"recoveries_failed\": {}}}"
         ),
+        run.threads,
         p.offset_wall_s + p.delay_wall_s,
         p.offset_wall_s,
         p.delay_wall_s,
         p.probes,
+        run.probes_per_offset_sample(),
         p.circuit.transients,
         p.circuit.timesteps,
         p.circuit.newton_iterations,
@@ -124,17 +150,18 @@ fn main() {
         args.samples
     );
 
-    let (ref_results, ref_perf) = run_corners(&args, ProbeMode::Reference);
-    println!("reference  {}", ref_perf.report());
-    let (fast_results, fast_perf) = run_corners(&args, ProbeMode::Fast);
-    println!("fast       {}", fast_perf.report());
-    let (batched_results, batched_perf) = run_corners(&args, ProbeMode::Batched);
-    println!("batched    {}", batched_perf.report());
+    let reference = run_corners(&args, ProbeMode::Reference);
+    println!("reference  {}", reference.perf.report());
+    let fast = run_corners(&args, ProbeMode::Fast);
+    println!("fast       {}", fast.perf.report());
+    let batched = run_corners(&args, ProbeMode::Batched);
+    println!("batched    {}", batched.perf.report());
+    let (ref_perf, fast_perf, batched_perf) = (&reference.perf, &fast.perf, &batched.perf);
 
     // McResult equality compares the physical outputs (offsets, delays,
     // statistics) and ignores perf — exactly the bit-identity contract.
-    let identical = ref_results == fast_results;
-    let batched_identical = fast_results == batched_results;
+    let identical = reference.results == fast.results;
+    let batched_identical = fast.results == batched.results;
     let ref_wall = ref_perf.offset_wall_s + ref_perf.delay_wall_s;
     let fast_wall = fast_perf.offset_wall_s + fast_perf.delay_wall_s;
     let batched_wall = batched_perf.offset_wall_s + batched_perf.delay_wall_s;
@@ -181,22 +208,26 @@ fn main() {
             "  \"after\": {},\n",
             "  \"bit_identical_batched_vs_fast\": {},\n",
             "  \"batched_speedup\": {:.3},\n",
-            "  \"batched\": {{\"wall_s\": {:.3}, \"lane_width\": {}, \"occupancy\": {:.4}, ",
+            "  \"batched\": {{\"threads\": {}, \"wall_s\": {:.3}, \"probes\": {}, ",
+            "\"probes_per_offset_sample\": {:.3}, \"lane_width\": {}, \"occupancy\": {:.4}, ",
             "\"scalar_fallbacks\": {}, \"batched_steps\": {}, \"batch_lane_steps\": {}}}\n",
             "}}\n"
         ),
-        ref_results.len(),
+        reference.results.len(),
         args.samples,
         args.seed,
         identical,
         mode_speedup,
         seed_wall_json,
         seed_speedup_json,
-        json_mode(&ref_perf),
-        json_mode(&fast_perf),
+        json_mode(&reference),
+        json_mode(&fast),
         batched_identical,
         batched_speedup,
+        batched.threads,
         batched_wall,
+        batched_perf.probes,
+        batched.probes_per_offset_sample(),
         BATCH_LANES,
         occupancy,
         bc.scalar_fallbacks,

@@ -16,9 +16,10 @@
 //! trace-extraction helpers, a lane engine whose per-lane IEEE operation
 //! sequence equals the scalar engine's), and the offset search's result
 //! is independent of probe order (the flip cell on the fixed dyadic grid
-//! is unique — see [`OffsetSearch`]). The per-lane search state machine
-//! ([`OffsetFsm`]) mirrors [`SaInstance::offset_voltage_with`]
-//! probe-for-probe, including the warm-window fallback's probe reuse.
+//! is unique — see [`OffsetSearch`]). Each lane drives the one offset
+//! search state machine, [`OffsetFsm`], which the scalar path
+//! ([`SaInstance::offset_voltage_with`]) drives one probe at a time; all
+//! lanes of a shard share one warm-start carrier.
 //!
 //! # Scalar fallback
 //!
@@ -47,8 +48,9 @@ use crate::montecarlo::{
 };
 use crate::netlist::SaInstance;
 use crate::probe::{
-    offset_drive_levels, regen_diff, DriveSpec, OffsetGrid, OffsetSearch, BLBAR_BRANCH, BL_BRANCH,
+    offset_drive_levels, regen_diff, DriveSpec, OffsetSearch, BLBAR_BRANCH, BL_BRANCH,
 };
+use crate::search::{OffsetFsm, OffsetGrid, OffsetStep};
 use crate::stress::compile_workload;
 use issa_circuit::batch::{BatchRunner, LaneEvent};
 use issa_circuit::{CancelToken, Netlist, TranParams, Waveform};
@@ -191,7 +193,7 @@ impl LaneJob {
         let (fsm, drive) = match phase {
             PhaseKind::Offset => {
                 let grid = OffsetGrid::from_opts(&cfg.probe);
-                let fsm = OffsetFsm::new(grid, &cfg.probe, search);
+                let fsm = OffsetFsm::new(grid, search.start(&sa, grid, &cfg.probe));
                 let drive =
                     DriveSpec::offset_probe(0.0, &cfg.env, cfg.probe.t_enable, cfg.probe.edge);
                 (Fsm::Offset(fsm), drive)
@@ -230,8 +232,7 @@ impl LaneJob {
         let opts = &cfg.probe;
         let params: TranParams = match &self.fsm {
             Fsm::Offset(fsm) => {
-                let vin = fsm.grid.value(fsm.current_probe());
-                let (v_bl, v_blbar) = offset_drive_levels(vin, self.sa.env.vdd);
+                let (v_bl, v_blbar) = offset_drive_levels(fsm.current_vin(), self.sa.env.vdd);
                 self.net.set_vsource_waveform(BL_BRANCH, Waveform::dc(v_bl));
                 self.net
                     .set_vsource_waveform(BLBAR_BRANCH, Waveform::dc(v_blbar));
@@ -258,10 +259,10 @@ impl LaneJob {
         match &mut self.fsm {
             Fsm::Offset(fsm) => match fsm.on_decision(regen_diff(trace) > 0.0) {
                 OffsetStep::Continue => Advance::Next,
-                OffsetStep::Done { result, flip_lo } => {
-                    // Update the lane's warm-start carrier exactly like
-                    // the scalar search does on success.
-                    search.center = Some(flip_lo);
+                OffsetStep::Done { result, flip } => {
+                    // Feed the shard's carrier exactly like the scalar
+                    // search does on success.
+                    search.record(&self.sa, flip);
                     Advance::Done(result)
                 }
                 OffsetStep::OutOfRange => Advance::Scalar,
@@ -322,18 +323,19 @@ fn run_batch(
     let mut queue = indices.iter().copied();
     let mut scalar_queue: Vec<usize> = Vec::new();
     let mut jobs: Vec<Option<LaneJob>> = (0..width).map(|_| None).collect();
-    // One warm-start carrier per lane, like one per scalar shard. The
-    // carrier changes probe order, never results, so the lane→sample
-    // assignment (which depends on completion timing) is bit-safe.
-    let mut searches: Vec<OffsetSearch> = vec![OffsetSearch::default(); width];
+    // One warm-start carrier for the whole shard, fed in completion
+    // order, like the scalar loop's. The carrier changes probe order,
+    // never results; the lockstep schedule fixes the completion order,
+    // so probe counts repeat exactly too.
+    let mut search = OffsetSearch::default();
     let mut done: Vec<(usize, SampleRun)> = Vec::new();
     let mut events: Vec<LaneEvent> = Vec::new();
     let mut stopped = false;
 
     loop {
         // Refill idle lanes from the queue.
-        for lane in 0..width {
-            if jobs[lane].is_some() {
+        for (lane, slot) in jobs.iter_mut().enumerate() {
+            if slot.is_some() {
                 continue;
             }
             for index in queue.by_ref() {
@@ -341,9 +343,9 @@ fn run_batch(
                     scalar_queue.push(index);
                     continue;
                 }
-                match LaneJob::start(cfg, index, phase, &mut runner, lane, &searches[lane]) {
+                match LaneJob::start(cfg, index, phase, &mut runner, lane, &search) {
                     Ok(job) => {
-                        jobs[lane] = Some(job);
+                        *slot = Some(job);
                         break;
                     }
                     Err(()) => scalar_queue.push(index),
@@ -365,7 +367,7 @@ fn run_batch(
                 // ladder, so the scalar rerun (which has one) decides
                 // whether the sample survives or how it is quarantined.
                 Err(_) => scalar_queue.push(job.index),
-                Ok(()) => match job.advance(&runner, ev.lane, &mut searches[ev.lane]) {
+                Ok(()) => match job.advance(&runner, ev.lane, &mut search) {
                     Advance::Next => match job.start_current(cfg, &mut runner, ev.lane) {
                         Ok(()) => jobs[ev.lane] = Some(job),
                         Err(_) => scalar_queue.push(job.index),
@@ -408,169 +410,6 @@ fn run_batch(
 
     done.sort_by_key(|&(i, _)| i);
     Some(done)
-}
-
-/// Outcome of one [`OffsetFsm`] decision.
-enum OffsetStep {
-    /// Probe [`OffsetFsm::current_probe`] next.
-    Continue,
-    /// Search finished: the measured offset and the flip cell's lower
-    /// index (the next warm-start center).
-    Done { result: f64, flip_lo: i64 },
-    /// No flip within ±vin_max — the scalar rerun reproduces the
-    /// [`SaError::OffsetOutOfRange`](crate::SaError) failure record.
-    OutOfRange,
-}
-
-/// The offset binary search as an explicit state machine, one probe per
-/// step — the lockstep twin of [`SaInstance::offset_voltage_with`]. Each
-/// state's probe index and each transition reproduces the scalar
-/// control flow exactly, including the warm-window fallback's reuse of
-/// already-probed endpoints (`wlo == 0` ⇒ `d0 = dl` without a probe,
-/// `whi == n` ⇒ `dn = dh`).
-struct OffsetFsm {
-    grid: OffsetGrid,
-    state: OffsetState,
-}
-
-/// Warm-window probes remembered for the fallback bracket choice.
-#[derive(Clone, Copy)]
-struct WarmWindow {
-    wlo: i64,
-    whi: i64,
-    dl: bool,
-}
-
-enum OffsetState {
-    /// Warm path: probing the window's low end `wlo`.
-    WarmLo { wlo: i64, whi: i64 },
-    /// Warm path: probing the window's high end `whi`.
-    WarmHi { wlo: i64, whi: i64, dl: bool },
-    /// Window missed: probing grid point 0 (only reached when `wlo > 0`).
-    FullLo { warm: WarmWindow, dh: bool },
-    /// Probing grid point `n`: the cold path's second probe
-    /// (`warm == None`) or the window fallback's (`warm == Some`, only
-    /// when `whi < n`).
-    FullHi { d0: bool, warm: Option<WarmWindow> },
-    /// Cold path: probing grid point 0.
-    ColdLo,
-    /// Bracket established: probing `mid = lo + (hi - lo) / 2`.
-    Bisect { lo: i64, hi: i64, d_lo: bool },
-}
-
-impl OffsetFsm {
-    fn new(grid: OffsetGrid, opts: &crate::probe::ProbeOptions, search: &OffsetSearch) -> Self {
-        let state = match search.center.filter(|_| opts.warm_start) {
-            Some(c) => {
-                let half_window = grid.half_window();
-                let c = c.clamp(0, grid.n - 1);
-                OffsetState::WarmLo {
-                    wlo: (c - half_window).max(0),
-                    whi: (c + 1 + half_window).min(grid.n),
-                }
-            }
-            None => OffsetState::ColdLo,
-        };
-        OffsetFsm { grid, state }
-    }
-
-    /// Grid index of the probe the current state is waiting on.
-    fn current_probe(&self) -> i64 {
-        match self.state {
-            OffsetState::WarmLo { wlo, .. } => wlo,
-            OffsetState::WarmHi { whi, .. } => whi,
-            OffsetState::FullLo { .. } | OffsetState::ColdLo => 0,
-            OffsetState::FullHi { .. } => self.grid.n,
-            OffsetState::Bisect { lo, hi, .. } => lo + (hi - lo) / 2,
-        }
-    }
-
-    /// Feeds the current probe's decision (`diff > 0`) into the search.
-    fn on_decision(&mut self, d: bool) -> OffsetStep {
-        match self.state {
-            OffsetState::WarmLo { wlo, whi } => {
-                self.state = OffsetState::WarmHi { wlo, whi, dl: d };
-                OffsetStep::Continue
-            }
-            OffsetState::WarmHi { wlo, whi, dl } => {
-                let dh = d;
-                let warm = WarmWindow { wlo, whi, dl };
-                if dl != dh {
-                    self.enter_bisect(wlo, whi, dl)
-                } else if wlo > 0 {
-                    self.state = OffsetState::FullLo { warm, dh };
-                    OffsetStep::Continue
-                } else if whi < self.grid.n {
-                    // wlo == 0: the window's low probe *is* d0.
-                    self.state = OffsetState::FullHi {
-                        d0: dl,
-                        warm: Some(warm),
-                    };
-                    OffsetStep::Continue
-                } else {
-                    // Window spans the whole grid: both endpoints known.
-                    self.resolve_fallback(warm, dl, dh)
-                }
-            }
-            OffsetState::FullLo { warm, dh } => {
-                let d0 = d;
-                if warm.whi < self.grid.n {
-                    self.state = OffsetState::FullHi {
-                        d0,
-                        warm: Some(warm),
-                    };
-                    OffsetStep::Continue
-                } else {
-                    // whi == n: the window's high probe *is* dn.
-                    self.resolve_fallback(warm, d0, dh)
-                }
-            }
-            OffsetState::FullHi { d0, warm } => {
-                let dn = d;
-                match warm {
-                    Some(w) => self.resolve_fallback(w, d0, dn),
-                    None if d0 == dn => OffsetStep::OutOfRange,
-                    None => self.enter_bisect(0, self.grid.n, d0),
-                }
-            }
-            OffsetState::ColdLo => {
-                self.state = OffsetState::FullHi { d0: d, warm: None };
-                OffsetStep::Continue
-            }
-            OffsetState::Bisect { lo, hi, d_lo } => {
-                let mid = lo + (hi - lo) / 2;
-                let (lo, hi) = if d == d_lo { (mid, hi) } else { (lo, mid) };
-                self.enter_bisect(lo, hi, d_lo)
-            }
-        }
-    }
-
-    /// The scalar warm-window fallback: full-bracket endpoints `d0`/`dn`
-    /// known, pick the side of the window the flip must be on.
-    fn resolve_fallback(&mut self, w: WarmWindow, d0: bool, dn: bool) -> OffsetStep {
-        if d0 == dn {
-            OffsetStep::OutOfRange
-        } else if w.dl == d0 {
-            self.enter_bisect(w.whi, self.grid.n, w.dl)
-        } else {
-            self.enter_bisect(0, w.wlo, d0)
-        }
-    }
-
-    /// Continues bisection of `[lo, hi]` (`d(lo) == d_lo != d(hi)`), or
-    /// finishes when the bracket is one cell wide — the scalar loop's
-    /// `while hi - lo > 1` condition.
-    fn enter_bisect(&mut self, lo: i64, hi: i64, d_lo: bool) -> OffsetStep {
-        if hi - lo > 1 {
-            self.state = OffsetState::Bisect { lo, hi, d_lo };
-            OffsetStep::Continue
-        } else {
-            OffsetStep::Done {
-                result: self.grid.offset(lo, hi),
-                flip_lo: lo,
-            }
-        }
-    }
 }
 
 /// Outcome of one [`DelayFsm`] probe.

@@ -63,6 +63,7 @@ pub mod netlist;
 pub mod overhead;
 pub mod perf;
 pub mod probe;
+mod search;
 pub mod spec;
 pub mod stress;
 pub mod stress_trace;

@@ -519,6 +519,18 @@ fn corner_label(cfg: &McConfig) -> String {
 }
 
 impl McConfig {
+    /// Worker threads the sample loop actually runs: [`McConfig::threads`],
+    /// with 0 resolved to one per core, and never more than the samples.
+    #[must_use]
+    pub fn worker_threads(&self) -> usize {
+        let threads = if self.threads == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            self.threads
+        };
+        threads.min(self.samples).max(1)
+    }
+
     /// Human-readable corner label — the string quarantined
     /// [`SampleFailure`]s carry. Public so a distribution coordinator
     /// synthesizing a failure for an abandoned work unit labels it exactly
@@ -824,12 +836,7 @@ pub fn run_mc(cfg: &McConfig) -> Result<McResult, SaError> {
 /// corner before any offset sample completed (no statistics exist then).
 pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult, SaError> {
     assert!(cfg.samples > 0, "need at least one sample");
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.threads
-    }
-    .min(cfg.samples);
+    let threads = cfg.worker_threads();
 
     let mut perf = McPerf::default();
     let probes_before = crate::perf::sense_calls();
@@ -880,8 +887,9 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
     // Phase 1 — offsets. Each sample is fully determined by its index, so
     // the loop splits into independent strided shards that merge by index.
     // Each shard threads one OffsetSearch through its samples: the search
-    // warm-starts from the previous flip cell, which changes the probe
-    // order but not the result (the flip cell on the fixed search grid is
+    // warm-starts from the previous flip cell or from the flip cell the
+    // carrier predicts from the sample's ΔVth draws, which changes the
+    // probe order but not the result (the flip cell on the fixed search grid is
     // unique), so the offsets stay identical for any thread count — and a
     // quarantined or restored sample cannot perturb its shard-mates for
     // the same reason.

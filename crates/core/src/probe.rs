@@ -22,6 +22,7 @@
 //! the `r0` workloads.
 
 use crate::netlist::SaInstance;
+use crate::search::{Flip, OffsetFsm, OffsetGrid, OffsetStep};
 use crate::SaError;
 use issa_circuit::netlist::Netlist;
 use issa_circuit::recovery::RecoveryPolicy;
@@ -29,6 +30,8 @@ use issa_circuit::trace::{CrossDirection, Trace};
 use issa_circuit::tran::{transient, StopWhen, TranContext, TranParams};
 use issa_circuit::waveform::Waveform;
 use issa_ptm45::Environment;
+
+pub use crate::search::OffsetSearch;
 
 /// Resolved decision of one sense operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +69,11 @@ pub struct ProbeOptions {
     pub t_settle: f64,
     /// Developed bitline swing for delay probes \[V\].
     pub swing: f64,
-    /// Warm-start the offset search from the previous sample's flip cell
-    /// (see [`OffsetSearch`]). Changes which grid points are probed but
-    /// not the result: the search grid is fixed, and the returned offset
-    /// is the unique cell where the decision flips.
+    /// Warm-start the offset search from the previous sample's flip cell,
+    /// or from the flip cell the carrier predicts from the sample's ΔVth
+    /// draws (see [`OffsetSearch`]). Changes which grid points are
+    /// probed but not the result: the search grid is fixed, and the
+    /// returned offset is the unique cell where the decision flips.
     pub warm_start: bool,
     /// Stop probe transients as soon as the measurement is decided
     /// (regeneration past the resolve threshold, output crossing found)
@@ -238,57 +242,6 @@ pub(crate) fn delay_from_trace(trace: &Trace, out_signal: &str, vdd: f64) -> Res
     Ok(t_out - t_en)
 }
 
-/// The fixed dyadic offset-search grid over `[−vin_max, +vin_max]` (see
-/// [`OffsetSearch`]): `n` cells, `n` the smallest power of two whose cell
-/// width does not exceed `offset_tol`. One construction shared by the
-/// scalar binary search and the batched lane scheduler, so the probed
-/// grid points cannot drift between the two paths.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OffsetGrid {
-    /// Number of grid cells.
-    pub(crate) n: i64,
-    vin_max: f64,
-    step: f64,
-}
-
-impl OffsetGrid {
-    /// Builds the grid from the probe options.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.offset_tol` or `opts.vin_max` is not positive.
-    pub(crate) fn from_opts(opts: &ProbeOptions) -> Self {
-        assert!(opts.offset_tol > 0.0, "offset_tol must be positive");
-        assert!(opts.vin_max > 0.0, "vin_max must be positive");
-        let mut n: i64 = 1;
-        while 2.0 * opts.vin_max / n as f64 > opts.offset_tol {
-            n <<= 1;
-        }
-        Self {
-            n,
-            vin_max: opts.vin_max,
-            step: 2.0 * opts.vin_max / n as f64,
-        }
-    }
-
-    /// Input differential of grid point `i`.
-    pub(crate) fn value(self, i: i64) -> f64 {
-        -self.vin_max + i as f64 * self.step
-    }
-
-    /// Warm-window half-width around the previous flip cell: ±(n/16)
-    /// cells, at least one.
-    pub(crate) fn half_window(self) -> i64 {
-        (self.n / 16).max(1)
-    }
-
-    /// Measured offset once the search has narrowed to `[lo, hi]`:
-    /// the flip point of `vin`, positive = biased toward One.
-    pub(crate) fn offset(self, lo: i64, hi: i64) -> f64 {
-        -0.5 * (self.value(lo) + self.value(hi))
-    }
-}
-
 impl ProbeContext {
     pub(crate) fn new(sa: &SaInstance, drive: &DriveSpec) -> Self {
         let net = sa.build_netlist(drive);
@@ -305,25 +258,6 @@ impl ProbeContext {
         crate::perf::record_sense_call();
         Ok(self.tran.run(&self.net, params)?)
     }
-}
-
-/// Warm-start carrier for the offset search.
-///
-/// The search happens on a fixed dyadic grid over `[−vin_max, +vin_max]`
-/// whose cell width is the largest power-of-two division of the bracket
-/// not exceeding `offset_tol`. The measured offset is determined by the
-/// unique grid cell in which the sense decision flips, so *any* probe
-/// order that brackets and bisects to that cell returns the bit-identical
-/// value — which is what makes warm-starting (and sharding samples across
-/// threads) safe. The carrier remembers the previous sample's flip cell;
-/// the next search first tries a window around it and only falls back to
-/// the full bracket when the window misses.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OffsetSearch {
-    /// Lower index of the previous flip cell on the search grid
-    /// (crate-visible so the batched scheduler's per-lane carriers update
-    /// it exactly like the scalar search does).
-    pub(crate) center: Option<i64>,
 }
 
 impl SaInstance {
@@ -437,8 +371,9 @@ impl SaInstance {
 
     /// [`SaInstance::offset_voltage`] with a warm-start carrier: the
     /// Monte Carlo loop threads one [`OffsetSearch`] through consecutive
-    /// samples so each search starts near the previous flip point. The
-    /// result is independent of the carrier's state (see [`OffsetSearch`]).
+    /// samples so each search starts near where this sample's decision
+    /// is expected to flip. The result is independent of the carrier's
+    /// state (see [`OffsetSearch`]).
     ///
     /// # Errors
     ///
@@ -452,75 +387,37 @@ impl SaInstance {
         opts: &ProbeOptions,
         search: &mut OffsetSearch,
     ) -> Result<f64, SaError> {
+        let grid = OffsetGrid::from_opts(opts);
+        let fsm = OffsetFsm::new(grid, search.start(self, grid, opts));
+        let (offset, flip) = self.run_offset_search(opts, fsm)?;
+        search.record(self, flip);
+        Ok(offset)
+    }
+
+    /// Drives `fsm` on this one instance: runs each probe it asks for,
+    /// one after another, until the search finishes.
+    pub(crate) fn run_offset_search(
+        &self,
+        opts: &ProbeOptions,
+        mut fsm: OffsetFsm,
+    ) -> Result<(f64, Flip), SaError> {
         let drive = DriveSpec::offset_probe(0.0, &self.env, opts.t_enable, opts.edge);
         let mut ctx = ProbeContext::new(self, &drive);
-
-        // Fixed dyadic search grid: n cells over [−vin_max, +vin_max],
-        // n the smallest power of two with cell width ≤ offset_tol.
-        let grid = OffsetGrid::from_opts(opts);
-        let n = grid.n;
-        // Decision at grid point i; near the metastable point resolution
-        // is slow, so classify by the sign of the differential.
-        let decide = |i: i64, ctx: &mut ProbeContext| -> Result<bool, SaError> {
-            let (v_bl, v_blbar) = offset_drive_levels(grid.value(i), self.env.vdd);
-            Ok(self.regenerate(ctx, v_bl, v_blbar, opts.t_enable, opts, 1.0)? > 0.0)
-        };
-
-        // Establish a bracket [lo, hi] with d(lo) == d_lo != d(hi). The
-        // warm path first tries a ±(n/16)-cell window around the previous
-        // flip cell — for a Monte Carlo population that window (~12 % of
-        // the full bracket) almost always contains the next flip, cutting
-        // the bisection by several probes.
-        let mut bracket: Option<(i64, i64, bool)> = None;
-        if opts.warm_start {
-            if let Some(c) = search.center {
-                let half_window = grid.half_window();
-                let c = c.clamp(0, n - 1);
-                let wlo = (c - half_window).max(0);
-                let whi = (c + 1 + half_window).min(n);
-                let dl = decide(wlo, &mut ctx)?;
-                let dh = decide(whi, &mut ctx)?;
-                if dl != dh {
-                    bracket = Some((wlo, whi, dl));
-                } else {
-                    // Window missed the flip: fall back to the full
-                    // bracket, reusing the window probes to pick the side.
-                    let d0 = if wlo == 0 { dl } else { decide(0, &mut ctx)? };
-                    let dn = if whi == n { dh } else { decide(n, &mut ctx)? };
-                    if d0 == dn {
-                        return Err(SaError::OffsetOutOfRange {
-                            vin_max: opts.vin_max,
-                        });
-                    }
-                    bracket = Some(if dl == d0 { (whi, n, dl) } else { (0, wlo, d0) });
-                }
-            }
-        }
-        let (mut lo, mut hi, d_lo) = match bracket {
-            Some(b) => b,
-            None => {
-                let d0 = decide(0, &mut ctx)?;
-                let dn = decide(n, &mut ctx)?;
-                if d0 == dn {
+        loop {
+            let (v_bl, v_blbar) = offset_drive_levels(fsm.current_vin(), self.env.vdd);
+            // Near the metastable point resolution is slow, so classify
+            // by the sign of the differential.
+            let d = self.regenerate(&mut ctx, v_bl, v_blbar, opts.t_enable, opts, 1.0)? > 0.0;
+            match fsm.on_decision(d) {
+                OffsetStep::Continue => {}
+                OffsetStep::Done { result, flip } => return Ok((result, flip)),
+                OffsetStep::OutOfRange => {
                     return Err(SaError::OffsetOutOfRange {
                         vin_max: opts.vin_max,
-                    });
+                    })
                 }
-                (0, n, d0)
-            }
-        };
-
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if decide(mid, &mut ctx)? == d_lo {
-                lo = mid;
-            } else {
-                hi = mid;
             }
         }
-        search.center = Some(lo);
-        // Flip point of vin; positive offset = biased toward One.
-        Ok(grid.offset(lo, hi))
     }
 
     /// Measures the sensing delay for a read of `read_value` \[s\]: from
@@ -786,6 +683,91 @@ mod tests {
             d_i < d_n * 1.25,
             "ISSA overhead too large: {d_n:e} -> {d_i:e}"
         );
+    }
+
+    /// Offset searches of real fast-probe Monte Carlo samples from
+    /// deliberately wrong predicted starts: exact, a cell off, just
+    /// outside the window, far outside, clamped at either grid end, and
+    /// told the wrong side. Each must reproduce the cold search bit for
+    /// bit.
+    #[test]
+    fn wrong_predictions_reproduce_the_cold_search_on_mc_samples() {
+        use crate::montecarlo::{build_sample, McConfig};
+        use crate::search::Start;
+        use crate::workload::{ReadSequence, Workload};
+        for kind in [SaKind::Nssa, SaKind::Issa] {
+            let cfg = McConfig::smoke(
+                kind,
+                Workload::new(0.8, ReadSequence::AllZeros),
+                Environment::nominal(),
+                1e8,
+                2,
+            );
+            let grid = OffsetGrid::from_opts(&cfg.probe);
+            for i in 0..cfg.samples {
+                let sa = build_sample(&cfg, i);
+                let search = |start| sa.run_offset_search(&cfg.probe, OffsetFsm::new(grid, start));
+                let (cold, flip) = search(Start::Cold).unwrap();
+                let y = flip.lo as f64 + 0.5;
+                let n = grid.n as f64;
+                for (center, below) in [
+                    (y, flip.below),
+                    (y + 1.0, flip.below),
+                    (y - 1.0, flip.below),
+                    (y + 2.5, flip.below),
+                    (y - 2.5, !flip.below),
+                    (y + 700.0, flip.below),
+                    (y - 700.0, !flip.below),
+                    (-100.0, flip.below),
+                    (n + 100.0, flip.below),
+                ] {
+                    let start = Start::Predicted {
+                        center,
+                        half: 1,
+                        below,
+                    };
+                    let (got, f) = search(start).unwrap();
+                    assert_eq!(got.to_bits(), cold.to_bits(), "{kind:?} #{i} {start:?}");
+                    assert_eq!(f, flip);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_instance_fails_from_every_start() {
+        use crate::search::Start;
+        let mut sa = SaInstance::fresh(SaKind::Nssa, Environment::nominal());
+        sa.set_delta_vth(SaDevice::Mdown, 1.5);
+        sa.set_delta_vth(SaDevice::MupBar, 1.5);
+        let mut o = opts();
+        o.vin_max = 0.05;
+        let grid = OffsetGrid::from_opts(&o);
+        let n = grid.n as f64;
+        for start in [
+            Start::Cold,
+            Start::Previous(grid.n / 2),
+            Start::Predicted {
+                center: n / 2.0,
+                half: 1,
+                below: false,
+            },
+            Start::Predicted {
+                center: n / 2.0,
+                half: 1,
+                below: true,
+            },
+            Start::Predicted {
+                center: -10.0,
+                half: 2,
+                below: false,
+            },
+        ] {
+            match sa.run_offset_search(&o, OffsetFsm::new(grid, start)) {
+                Err(SaError::OffsetOutOfRange { .. }) => {}
+                other => panic!("{start:?}: expected OffsetOutOfRange, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,21 @@
 
 use issa::core::montecarlo::{run_mc, McConfig};
 use issa::prelude::*;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The perf counters are process-global, and the tests of this binary run
+/// in parallel. A test that reads counter deltas holds this lock
+/// exclusively; every other test holds it shared, so no sibling's work
+/// lands inside a counted region.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn counters_shared() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn counters_exclusive() -> RwLockWriteGuard<'static, ()> {
+    COUNTERS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn base_cfg(samples: usize) -> McConfig {
     McConfig::smoke(
@@ -17,6 +32,7 @@ fn base_cfg(samples: usize) -> McConfig {
 
 #[test]
 fn thread_count_does_not_change_results() {
+    let _counters = counters_shared();
     // Thread sharding changes which samples share a warm-started offset
     // search, so this also exercises the warm-start path-independence
     // invariant. `McResult` equality covers offsets, delays, and every
@@ -42,6 +58,7 @@ fn thread_count_does_not_change_results() {
 
 #[test]
 fn fast_paths_do_not_change_results() {
+    let _counters = counters_exclusive();
     // The warm-started offset search and early-exit transients must be
     // exact optimizations: reference mode (both disabled) and fast mode
     // (both enabled, the `smoke` default) produce bit-identical offsets,
@@ -72,6 +89,7 @@ fn fast_paths_do_not_change_results() {
 
 #[test]
 fn unexercised_recovery_ladder_is_bit_identical() {
+    let _counters = counters_exclusive();
     // The solver recovery ladder engages only after a Newton failure, so
     // on a healthy corner the full ladder, the pre-ladder engine
     // (timestep halving only), and no recovery at all must produce
@@ -107,6 +125,7 @@ fn unexercised_recovery_ladder_is_bit_identical() {
 
 #[test]
 fn batched_lanes_do_not_change_results() {
+    let _counters = counters_shared();
     // The lockstep batch engine is a scheduling change only: for every
     // supported lane width × thread count, offsets, delays, and every
     // derived statistic must be bit-identical to the scalar run. Lane
@@ -131,6 +150,7 @@ fn batched_lanes_do_not_change_results() {
 
 #[test]
 fn batched_fault_injection_falls_back_to_scalar_identically() {
+    let _counters = counters_exclusive();
     // Fault-targeted samples never enter a lockstep lane (the fault
     // scope is thread-local — arming it would inject into every lane on
     // the thread); they are pre-routed to the scalar path, whose
@@ -167,7 +187,78 @@ fn batched_fault_injection_falls_back_to_scalar_identically() {
 }
 
 #[test]
+fn batched_predictive_search_matches_reference() {
+    // Corners long enough for each shard's carrier to pass the flip
+    // model's warm-up (feature count + 8 completed samples), so most
+    // searches start from a predicted window. Every thread × lane
+    // schedule must reproduce the cold reference search bit for bit.
+    let _counters = counters_shared();
+    for kind in [SaKind::Nssa, SaKind::Issa] {
+        let cfg = McConfig {
+            kind,
+            ..base_cfg(64)
+        };
+        let reference = run_mc(&McConfig {
+            probe: cfg.probe.reference(),
+            threads: 2,
+            ..cfg.clone()
+        })
+        .unwrap();
+        for threads in [1usize, 2] {
+            for lanes in [0usize, 8] {
+                let fast = run_mc(&McConfig {
+                    threads,
+                    batch_lanes: lanes,
+                    ..cfg.clone()
+                })
+                .unwrap();
+                assert_eq!(
+                    fast, reference,
+                    "{kind:?} threads={threads} lanes={lanes} diverged from reference"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn predictive_search_halves_the_probes() {
+    // One shard of 128 samples: the carrier's flip model predicts most
+    // searches, which must cost at most 0.6× the cold reference's probes,
+    // give identical offsets, and repeat their probe count exactly.
+    let _counters = counters_exclusive();
+    let cfg = McConfig {
+        threads: 1,
+        ..base_cfg(128)
+    };
+    // A cold search costs the same probes on any shard, so the reference
+    // may use both threads.
+    let reference = run_mc(&McConfig {
+        probe: cfg.probe.reference(),
+        threads: 2,
+        ..cfg.clone()
+    })
+    .unwrap();
+    let fast = run_mc(&cfg).unwrap();
+    let again = run_mc(&cfg).unwrap();
+    assert_eq!(fast.offsets, reference.offsets);
+    assert_eq!(fast, again);
+    assert_eq!(
+        fast.perf.probes, again.perf.probes,
+        "probe count not repeatable"
+    );
+    let ratio = fast.perf.probes as f64 / reference.perf.probes as f64;
+    assert!(
+        ratio <= 0.6,
+        "predictive search used {} probes, reference {} ({ratio:.3}×)",
+        fast.perf.probes,
+        reference.perf.probes
+    );
+}
+
+#[test]
 fn seed_changes_results() {
+    let _counters = counters_shared();
     let a = run_mc(&base_cfg(6)).unwrap();
     let b = run_mc(&McConfig {
         seed: 12345,
@@ -179,6 +270,7 @@ fn seed_changes_results() {
 
 #[test]
 fn environment_is_part_of_the_corner_not_the_seed() {
+    let _counters = counters_shared();
     // Same seed, different temperature: mismatch draws are reused but the
     // aging differs — offsets must differ, yet remain reproducible.
     let nom = run_mc(&base_cfg(5)).unwrap();

@@ -155,6 +155,12 @@ proptest! {
     }
 }
 
+/// The circuit perf counters are process-global, and the tests of this
+/// binary run in parallel. A test that reads global counter deltas holds
+/// this lock exclusively; every other test that runs transients holds it
+/// shared, so no sibling's recovery work lands inside a counted region.
+static COUNTERS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
 /// Tiny RC low-pass (50 base steps): every solve converges trivially, so
 /// the only failures are the injected ones.
 fn ladder_netlist() -> issa::circuit::Netlist {
@@ -181,6 +187,7 @@ proptest! {
 
     #[test]
     fn ladder_halving_depth_is_bounded(depth in 0u32..5, step in 0u64..50) {
+        let _counters = COUNTERS.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         use issa::circuit::faultinject::{FaultKind, FaultPlan, FaultScope};
         use issa::circuit::perf::thread_recovery_attempts;
         use issa::circuit::{tran::transient, RecoveryPolicy};
@@ -215,6 +222,7 @@ proptest! {
         gmin_exp in -4i32..-1,
         decay in 0.05f64..0.5,
     ) {
+        let _counters = COUNTERS.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         use issa::circuit::faultinject::{FaultKind, FaultPlan, FaultScope};
         use issa::circuit::perf::thread_recovery_attempts;
         use issa::circuit::{tran::transient, RecoveryPolicy};
@@ -247,6 +255,7 @@ proptest! {
 
     #[test]
     fn ladder_counters_are_monotone(steps in 1u64..4) {
+        let _counters = COUNTERS.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         use issa::circuit::faultinject::{FaultKind, FaultPlan, FaultScope};
         use issa::circuit::perf::{snapshot, thread_recovery_attempts};
         use issa::circuit::{tran::transient, RecoveryPolicy};
