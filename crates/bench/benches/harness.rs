@@ -8,9 +8,9 @@ use issa_bti::{BtiParams, StressCondition, TrapSet};
 use issa_circuit::netlist::Netlist;
 use issa_circuit::tran::{transient, Integrator, TranParams};
 use issa_circuit::waveform::Waveform;
-use issa_core::montecarlo::{build_sample, run_mc, McConfig};
+use issa_core::montecarlo::{build_sample, run_mc, run_mc_controlled, McConfig, McControl};
 use issa_core::netlist::{SaInstance, SaKind};
-use issa_core::probe::{OffsetSearch, ProbeOptions};
+use issa_core::probe::{OffsetSearch, ProbeOptions, SearchPool};
 use issa_core::spec::offset_spec;
 use issa_core::workload::{ReadSequence, Workload};
 use issa_num::matrix::DMatrix;
@@ -189,14 +189,29 @@ fn bench_offset_search(c: &mut Criterion) {
 
 /// Offset probing in the modes the hot-path work distinguishes: the
 /// reference profile (fresh contexts, no warm start, full windows), the
-/// fast profile cold (context reuse + early exit), and the fast profile
+/// fast profile cold (context reuse + early exit), the fast profile
 /// warm-started across a batch of aged samples — the Monte Carlo inner
-/// loop exactly as `run_mc` drives it.
+/// loop exactly as `run_mc` drives it — and the same batch on a carrier
+/// a [`SearchPool`] kept from an earlier corner of the circuit, as a
+/// campaign's later corners start.
 fn bench_offset_probe(c: &mut Criterion) {
     let cfg = smoke_cfg(SaKind::Nssa, ReadSequence::AllZeros, 1e8, 4);
     let samples: Vec<SaInstance> = (0..4).map(|i| build_sample(&cfg, i)).collect();
     let fast = ProbeOptions::fast();
     let reference = ProbeOptions::fast().reference();
+    let pool = SearchPool::default();
+    let earlier = McConfig {
+        threads: 1,
+        batch_lanes: 0,
+        delay_samples: 0,
+        ..smoke_cfg(SaKind::Nssa, ReadSequence::Alternating, 3e8, 32)
+    };
+    let ctl = McControl {
+        search: Some(&pool),
+        ..McControl::default()
+    };
+    run_mc_controlled(&earlier, &ctl).unwrap();
+    let pooled = pool.lease(&cfg, 0).clone();
 
     let mut group = c.benchmark_group("offset_probe");
     group.sample_size(10);
@@ -218,6 +233,14 @@ fn bench_offset_probe(c: &mut Criterion) {
     group.bench_function("fast_warm_batch", |bench| {
         bench.iter(|| {
             let mut search = OffsetSearch::default();
+            for sa in &samples {
+                black_box(sa.offset_voltage_with(&fast, &mut search).unwrap());
+            }
+        })
+    });
+    group.bench_function("fast_pooled_batch", |bench| {
+        bench.iter(|| {
+            let mut search = pooled.clone();
             for sa in &samples {
                 black_box(sa.offset_voltage_with(&fast, &mut search).unwrap());
             }

@@ -19,7 +19,7 @@
 //! is unique — see [`OffsetSearch`]). Each lane drives the one offset
 //! search state machine, [`OffsetFsm`], which the scalar path
 //! ([`SaInstance::offset_voltage_with`]) drives one probe at a time; all
-//! lanes of a shard share one warm-start carrier.
+//! lanes of a shard share the caller's warm-start carrier.
 //!
 //! # Scalar fallback
 //!
@@ -107,18 +107,23 @@ pub fn batching_enabled(cfg: &McConfig) -> bool {
 /// [`BatchHooks::on_slice`] returning `false`) are absent, exactly like
 /// the scalar loop's early break. Every entry is bit-identical to what
 /// [`run_offset_sample_with`] would have produced.
+///
+/// Every lane starts its search from `search` and feeds it back in
+/// completion order, like the scalar loop's carrier: the carrier changes
+/// which probes run, never the results.
 pub fn run_offset_batch(
     cfg: &McConfig,
     indices: &[usize],
     cancel: Option<&CancelToken>,
     hooks: &mut dyn BatchHooks,
+    search: &mut OffsetSearch,
 ) -> Option<Vec<(usize, SampleRun)>> {
     if !(cfg.probe.offset_tol > 0.0 && cfg.probe.vin_max > 0.0) {
         // The scalar search would panic (per sample, inside its guarded
         // region); let it, so the failure records match.
         return None;
     }
-    run_batch(cfg, indices, &PhaseKind::Offset, cancel, hooks)
+    run_batch(cfg, indices, &PhaseKind::Offset, cancel, hooks, search)
 }
 
 /// Runs the delay phase for `indices` through the lockstep engine at the
@@ -142,7 +147,15 @@ pub fn run_delay_batch(
         swing: swing_volts,
         zero_fraction,
     };
-    run_batch(cfg, indices, &phase, cancel, hooks)
+    // Delay probes never consult a search carrier.
+    run_batch(
+        cfg,
+        indices,
+        &phase,
+        cancel,
+        hooks,
+        &mut OffsetSearch::default(),
+    )
 }
 
 enum PhaseKind {
@@ -283,13 +296,16 @@ impl LaneJob {
 
 /// The shared batch driver: refills idle lanes from the index queue,
 /// advances all lanes in lockstep slices, and reruns peeled-off samples
-/// on the scalar path at the end.
+/// on the scalar path at the end. All lanes share the caller's `search`
+/// carrier, fed in completion order; the lockstep schedule fixes that
+/// order, so probe counts repeat exactly.
 fn run_batch(
     cfg: &McConfig,
     indices: &[usize],
     phase: &PhaseKind,
     cancel: Option<&CancelToken>,
     hooks: &mut dyn BatchHooks,
+    search: &mut OffsetSearch,
 ) -> Option<Vec<(usize, SampleRun)>> {
     if indices.is_empty() {
         return Some(Vec::new());
@@ -323,11 +339,6 @@ fn run_batch(
     let mut queue = indices.iter().copied();
     let mut scalar_queue: Vec<usize> = Vec::new();
     let mut jobs: Vec<Option<LaneJob>> = (0..width).map(|_| None).collect();
-    // One warm-start carrier for the whole shard, fed in completion
-    // order, like the scalar loop's. The carrier changes probe order,
-    // never results; the lockstep schedule fixes the completion order,
-    // so probe counts repeat exactly too.
-    let mut search = OffsetSearch::default();
     let mut done: Vec<(usize, SampleRun)> = Vec::new();
     let mut events: Vec<LaneEvent> = Vec::new();
     let mut stopped = false;
@@ -343,7 +354,7 @@ fn run_batch(
                     scalar_queue.push(index);
                     continue;
                 }
-                match LaneJob::start(cfg, index, phase, &mut runner, lane, &search) {
+                match LaneJob::start(cfg, index, phase, &mut runner, lane, search) {
                     Ok(job) => {
                         *slot = Some(job);
                         break;
@@ -367,7 +378,7 @@ fn run_batch(
                 // ladder, so the scalar rerun (which has one) decides
                 // whether the sample survives or how it is quarantined.
                 Err(_) => scalar_queue.push(job.index),
-                Ok(()) => match job.advance(&runner, ev.lane, &mut search) {
+                Ok(()) => match job.advance(&runner, ev.lane, search) {
                     Advance::Next => match job.start_current(cfg, &mut runner, ev.lane) {
                         Ok(()) => jobs[ev.lane] = Some(job),
                         Err(_) => scalar_queue.push(job.index),
@@ -493,6 +504,15 @@ mod tests {
         cfg
     }
 
+    /// The batched offset phase on a cold carrier.
+    fn batch_offsets(
+        cfg: &McConfig,
+        indices: &[usize],
+        hooks: &mut dyn BatchHooks,
+    ) -> Option<Vec<(usize, SampleRun)>> {
+        run_offset_batch(cfg, indices, None, hooks, &mut OffsetSearch::default())
+    }
+
     fn scalar_offsets(cfg: &McConfig, indices: &[usize]) -> Vec<(usize, SampleRun)> {
         let mut search = OffsetSearch::default();
         indices
@@ -520,7 +540,7 @@ mod tests {
     fn batched_offsets_are_bit_identical_to_scalar() {
         let cfg = cfg(6);
         let indices: Vec<usize> = (0..cfg.samples).collect();
-        let batched = run_offset_batch(&cfg, &indices, None, &mut NoHooks)
+        let batched = batch_offsets(&cfg, &indices, &mut NoHooks)
             .expect("ISSA at default options must be batchable");
         let scalar = scalar_offsets(&cfg, &indices);
         assert_eq!(batched.len(), scalar.len());
@@ -558,7 +578,7 @@ mod tests {
         cfg.max_failure_frac = 1.0;
         let indices: Vec<usize> = (0..cfg.samples).collect();
         let before = issa_circuit::perf::snapshot();
-        let batched = run_offset_batch(&cfg, &indices, None, &mut NoHooks).expect("batchable");
+        let batched = batch_offsets(&cfg, &indices, &mut NoHooks).expect("batchable");
         let fallbacks = issa_circuit::perf::snapshot()
             .delta_since(&before)
             .scalar_fallbacks;
@@ -576,17 +596,14 @@ mod tests {
     #[test]
     fn empty_index_list_is_a_noop() {
         let cfg = cfg(2);
-        assert_eq!(
-            run_offset_batch(&cfg, &[], None, &mut NoHooks),
-            Some(Vec::new())
-        );
+        assert_eq!(batch_offsets(&cfg, &[], &mut NoHooks), Some(Vec::new()));
     }
 
     #[test]
     fn lane_count_below_two_is_unsupported() {
         let mut cfg = cfg(2);
         cfg.batch_lanes = 1;
-        assert!(run_offset_batch(&cfg, &[0, 1], None, &mut NoHooks).is_none());
+        assert!(batch_offsets(&cfg, &[0, 1], &mut NoHooks).is_none());
         assert!(!batching_enabled(&cfg));
         cfg.batch_lanes = 4;
         assert!(batching_enabled(&cfg));
@@ -607,7 +624,7 @@ mod tests {
         let cfg = cfg(4);
         let indices: Vec<usize> = (0..cfg.samples).collect();
         let mut hooks = Counting { seen: Vec::new() };
-        let runs = run_offset_batch(&cfg, &indices, None, &mut hooks).expect("batchable");
+        let runs = batch_offsets(&cfg, &indices, &mut hooks).expect("batchable");
         let mut seen = hooks.seen;
         seen.sort_unstable();
         assert_eq!(seen, indices);
@@ -619,7 +636,7 @@ mod tests {
                 false
             }
         }
-        let stopped = run_offset_batch(&cfg, &indices, None, &mut StopNow).expect("batchable");
+        let stopped = batch_offsets(&cfg, &indices, &mut StopNow).expect("batchable");
         assert!(stopped.len() < indices.len());
     }
 }

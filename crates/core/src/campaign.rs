@@ -28,6 +28,7 @@ use crate::checkpoint::{
     config_fingerprint, Checkpoint, CheckpointError, CornerCheckpoint, SavePolicy,
 };
 use crate::montecarlo::{McConfig, McControl, McObserver, McPhase, McResult, SampleFailure};
+use crate::probe::SearchPool;
 use crate::tail::run_tail_mc;
 use crate::SaError;
 use issa_circuit::cancel::{CancelCause, CancelToken};
@@ -537,6 +538,9 @@ pub fn run_campaign(
         token: &token,
     };
 
+    // One pool of offset-search carriers for the whole campaign: a corner
+    // whose circuit an earlier corner already searched starts warm.
+    let search = SearchPool::default();
     let mut reports = Vec::with_capacity(corners.len());
     for corner in corners {
         // Synchronous deadline check so a zero/elapsed deadline is exact
@@ -577,6 +581,7 @@ pub fn run_campaign(
             resume: Some(&resume),
             observer: Some(&sink),
             cancel: Some(&token),
+            search: Some(&search),
         };
         // `run_tail_mc` is a strict superset of `run_mc_controlled`: for
         // corners without a tail mode it falls straight through, and for

@@ -31,7 +31,7 @@
 
 use crate::calib;
 use crate::netlist::{SaInstance, SaKind, SaSizing};
-use crate::probe::{OffsetSearch, ProbeOptions};
+use crate::probe::{OffsetSearch, ProbeOptions, SearchPool};
 use crate::spec::offset_spec;
 use crate::stress::{compile_workload, device_stress, CompiledWorkload, StressModel};
 use crate::variation::MismatchModel;
@@ -630,9 +630,9 @@ pub trait McObserver: Sync {
 }
 
 /// Control plane of one [`run_mc_controlled`] call: restored state, a
-/// completion observer, and a campaign-level cancellation token. The
-/// default (`McControl::default()`) is exactly the plain [`run_mc`]
-/// behaviour.
+/// completion observer, a campaign-level cancellation token, and the
+/// pool of warm-start carriers. The default (`McControl::default()`) is
+/// exactly the plain [`run_mc`] behaviour.
 #[derive(Clone, Copy, Default)]
 pub struct McControl<'a> {
     /// Checkpointed results to skip recomputing.
@@ -644,6 +644,11 @@ pub struct McControl<'a> {
     /// their next base solve. Already-completed samples are kept and
     /// reported with [`McResult::partial`] set.
     pub cancel: Option<&'a CancelToken>,
+    /// Offset-search carriers kept across calls (see [`SearchPool`]):
+    /// each shard leases its carrier at shard start and returns it at
+    /// shard end. `None` starts every shard cold. Changes probe counts,
+    /// never results.
+    pub search: Option<&'a SearchPool>,
 }
 
 impl fmt::Debug for McControl<'_> {
@@ -652,6 +657,7 @@ impl fmt::Debug for McControl<'_> {
             .field("resume", &self.resume.map(McResume::records))
             .field("observer", &self.observer.is_some())
             .field("cancel", &self.cancel.map(CancelToken::is_cancelled))
+            .field("search", &self.search.is_some())
             .finish()
     }
 }
@@ -886,20 +892,24 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
 
     // Phase 1 — offsets. Each sample is fully determined by its index, so
     // the loop splits into independent strided shards that merge by index.
-    // Each shard threads one OffsetSearch through its samples: the search
-    // warm-starts from the previous flip cell or from the flip cell the
-    // carrier predicts from the sample's ΔVth draws, which changes the
-    // probe order but not the result (the flip cell on the fixed search grid is
-    // unique), so the offsets stay identical for any thread count — and a
+    // Each shard threads one OffsetSearch through its samples, leased from
+    // the caller's pool (or a fresh one): the search warm-starts from the
+    // previous flip cell or from the flip cell the carrier predicts from
+    // the sample's ΔVth draws, which changes the probe order but not the
+    // result (the flip cell on the fixed search grid is unique), so the
+    // offsets stay identical for any thread count and any pool — and a
     // quarantined or restored sample cannot perturb its shard-mates for
     // the same reason.
     let offset_done = &offset_done;
     let use_batch = crate::batch::batching_enabled(cfg);
+    let own_pool = SearchPool::default();
+    let pool = ctl.search.unwrap_or(&own_pool);
     let offset_shards: Vec<Vec<(usize, Result<f64, SampleFailure>)>> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|shard| {
                     scope.spawn(move || {
+                        let mut search = pool.lease(cfg, shard);
                         if use_batch {
                             // Lockstep lanes over this shard's strided
                             // samples — bit-identical to the scalar loop
@@ -914,14 +924,17 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
                                 phase: McPhase::Offset,
                                 observer: ctl.observer,
                             };
-                            if let Some(runs) =
-                                crate::batch::run_offset_batch(cfg, &todo, ctl.cancel, &mut hooks)
-                            {
+                            if let Some(runs) = crate::batch::run_offset_batch(
+                                cfg,
+                                &todo,
+                                ctl.cancel,
+                                &mut hooks,
+                                &mut search,
+                            ) {
                                 return collect_batch_runs(runs);
                             }
                         }
                         let mut local = Vec::new();
-                        let mut search = OffsetSearch::default();
                         let mut i = shard;
                         while i < cfg.samples {
                             if offset_done[i] {

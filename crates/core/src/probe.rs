@@ -31,7 +31,7 @@ use issa_circuit::tran::{transient, StopWhen, TranContext, TranParams};
 use issa_circuit::waveform::Waveform;
 use issa_ptm45::Environment;
 
-pub use crate::search::OffsetSearch;
+pub use crate::search::{OffsetSearch, SearchLease, SearchPool};
 
 /// Resolved decision of one sense operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,11 +7,16 @@
 //! ([`SaInstance::offset_voltage_with`]) drives it one probe after
 //! another on one instance; the lockstep scheduler ([`crate::batch`])
 //! drives one per lane. [`OffsetSearch`] carries what earlier searches
-//! learned into where the next one starts.
+//! learned into where the next one starts, and [`SearchPool`] keeps those
+//! carriers alive from one Monte Carlo call to the next.
 
+use crate::montecarlo::McConfig;
 use crate::netlist::SaInstance;
 use crate::probe::ProbeOptions;
 use issa_num::matrix::{DMatrix, Lu};
+use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The fixed dyadic offset-search grid over `[−vin_max, +vin_max]`:
 /// `n` cells, `n` the smallest power of two whose cell width does not
@@ -85,9 +90,10 @@ const WINDOW_SIGMAS: f64 = 0.5;
 /// threads and interleaving them across lanes safe: a carrier changes
 /// which probes run, never the result.
 ///
-/// A Monte Carlo shard threads one carrier through its samples, and
-/// each completed search feeds it the sample's flip cell. The carrier
-/// keeps two things:
+/// A Monte Carlo shard threads one carrier through its samples (leased
+/// from a [`SearchPool`], so it can outlive the call), and each
+/// completed search feeds it the sample's flip cell. The carrier keeps
+/// two things:
 ///
 /// - the previous sample's flip cell. The next search first probes a
 ///   ±(n/16)-cell window around it and falls back to the full bracket
@@ -138,6 +144,90 @@ impl OffsetSearch {
         self.center = Some(flip.lo);
         self.below = flip.below;
         self.model.record(&features(sa), flip.lo as f64 + 0.5);
+    }
+}
+
+/// Warm-start carriers that outlive one Monte Carlo call: one
+/// [`OffsetSearch`] per shard for each *search key*.
+///
+/// The key is everything that enters an offset probe except the ΔVth
+/// draws: the SA kind, sizing, environment and probe options. The flip
+/// model regresses on each device's total ΔVth (mismatch + BTI + HCI),
+/// so one fit holds for every aging time, workload and tail proposal of
+/// the same circuit. A call whose key an earlier call already warmed
+/// starts predicting at its first sample instead of after *p* + 8.
+///
+/// [`run_mc_controlled`](crate::montecarlo::run_mc_controlled) leases
+/// each shard's carrier at shard start and returns it at shard end;
+/// without a pool (`McControl::search` unset) every call starts cold, as
+/// a fresh pool would. Results never depend on the pool: any start ends
+/// on the one flip cell. Probe counts do: they depend on which calls ran
+/// before on the same pool, so on corner order, and on whether a
+/// campaign was resumed (a resumed campaign starts with an empty pool).
+/// For a given sequence of calls they repeat exactly, because each shard
+/// feeds its carrier in its own deterministic completion order. Calls
+/// sharing a pool should run one after another; concurrent calls stay
+/// correct, but their probe counts then depend on timing.
+#[derive(Debug, Default)]
+pub struct SearchPool {
+    carriers: Mutex<HashMap<(String, usize), OffsetSearch>>,
+}
+
+impl SearchPool {
+    /// Lends shard `shard`'s carrier for `cfg`'s search key (a cold one
+    /// the first time); the lease hands it back when dropped.
+    #[must_use]
+    pub fn lease(&self, cfg: &McConfig, shard: usize) -> SearchLease<'_> {
+        let key = (
+            format!(
+                "{:?}|{:?}|{:?}|{:?}",
+                cfg.kind, cfg.sizing, cfg.env, cfg.probe
+            ),
+            shard,
+        );
+        let search = self.lock().remove(&key).unwrap_or_default();
+        SearchLease {
+            pool: self,
+            key,
+            search,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<(String, usize), OffsetSearch>> {
+        // A carrier only steers probe order, so one left behind by a
+        // panicking shard is still safe to reuse.
+        self.carriers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A carrier on loan from a [`SearchPool`]; dereferences to the
+/// [`OffsetSearch`] and returns it to the pool on drop.
+#[derive(Debug)]
+pub struct SearchLease<'a> {
+    pool: &'a SearchPool,
+    key: (String, usize),
+    search: OffsetSearch,
+}
+
+impl Deref for SearchLease<'_> {
+    type Target = OffsetSearch;
+
+    fn deref(&self) -> &OffsetSearch {
+        &self.search
+    }
+}
+
+impl DerefMut for SearchLease<'_> {
+    fn deref_mut(&mut self) -> &mut OffsetSearch {
+        &mut self.search
+    }
+}
+
+impl Drop for SearchLease<'_> {
+    fn drop(&mut self) {
+        let search = std::mem::take(&mut self.search);
+        let key = std::mem::take(&mut self.key);
+        self.pool.lock().insert(key, search);
     }
 }
 
@@ -505,7 +595,9 @@ impl OffsetFsm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::build_sample;
     use crate::netlist::{SaDevice, SaKind};
+    use crate::workload::{ReadSequence, Workload};
     use issa_ptm45::Environment;
 
     /// The fast-profile grid: 4096 cells.
@@ -698,5 +790,73 @@ mod tests {
         }
         // Reference mode never warm-starts.
         assert_eq!(search.start(&sa, g, &opts.reference()), Start::Cold);
+    }
+
+    fn smoke(kind: SaKind) -> McConfig {
+        McConfig::smoke(
+            kind,
+            Workload::new(0.8, ReadSequence::AllZeros),
+            Environment::nominal(),
+            1e8,
+            1,
+        )
+    }
+
+    /// Warms `cfg`'s shard-0 carrier in `pool` past the model's warm-up.
+    fn warm(pool: &SearchPool, cfg: &McConfig) {
+        let mut search = pool.lease(cfg, 0);
+        for k in 0..SaDevice::ISSA.len() + 1 + MODEL_WARMUP {
+            let sa = build_sample(cfg, k);
+            let lo = 2048 + (1e3 * sa.delta_vth(sa.devices()[0])).round() as i64;
+            search.record(&sa, Flip { lo, below: false });
+        }
+    }
+
+    fn first_start(pool: &SearchPool, cfg: &McConfig) -> Start {
+        let sa = build_sample(cfg, 1000);
+        pool.lease(cfg, 0).start(&sa, grid(), &cfg.probe)
+    }
+
+    #[test]
+    fn pool_keeps_one_carrier_per_search_key() {
+        let pool = SearchPool::default();
+        let nssa = smoke(SaKind::Nssa);
+        let issa = smoke(SaKind::Issa);
+        warm(&pool, &nssa);
+        warm(&pool, &issa);
+        // The ISSA fit did not replace the NSSA one: NSSA → ISSA → NSSA
+        // predicts at once.
+        assert!(matches!(first_start(&pool, &nssa), Start::Predicted { .. }));
+        // Another aging time and workload share the key.
+        let aged = McConfig {
+            time: 3e8,
+            workload: Workload::new(0.2, ReadSequence::AllOnes),
+            ..nssa.clone()
+        };
+        assert!(matches!(first_start(&pool, &aged), Start::Predicted { .. }));
+        // Another shard has a carrier of its own.
+        let sa = build_sample(&nssa, 0);
+        assert_eq!(
+            pool.lease(&nssa, 1).start(&sa, grid(), &nssa.probe),
+            Start::Cold
+        );
+        // Anything else that enters a probe gets a cold carrier.
+        let mut vdd = nssa.clone();
+        vdd.env.vdd *= 0.9;
+        let mut sizing = nssa.clone();
+        sizing.sizing.mpass *= 2.0;
+        let mut tol = nssa.clone();
+        tol.probe.offset_tol *= 0.5;
+        for other in [&vdd, &sizing, &tol] {
+            assert_eq!(first_start(&pool, other), Start::Cold, "{other:?}");
+        }
+        // Reference mode shares nothing: its key differs, and it never
+        // warm-starts even from a warm carrier.
+        let reference = McConfig {
+            probe: nssa.probe.reference(),
+            ..nssa.clone()
+        };
+        warm(&pool, &reference);
+        assert_eq!(first_start(&pool, &reference), Start::Cold);
     }
 }

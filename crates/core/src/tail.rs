@@ -53,6 +53,7 @@ use crate::montecarlo::{
     run_mc_controlled, McConfig, McControl, McObserver, McPhase, McResult, McResume, SampleFailure,
 };
 use crate::netlist::{SaDevice, SaInstance};
+use crate::probe::SearchPool;
 use crate::SaError;
 use issa_num::rng::SeedSequence;
 use issa_num::stats::Summary;
@@ -637,6 +638,10 @@ pub fn run_tail_mc(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult, SaEr
     }
     let max_samples = tail.max_samples.max(cfg.samples);
     let tee = TeeObserver::new(ctl.resume.cloned().unwrap_or_default(), ctl.observer);
+    // One pool for the pilot, every block and the final assembly, so each
+    // block's shards inherit the fit the pilot's shards built.
+    let own_pool = SearchPool::default();
+    let search = Some(ctl.search.unwrap_or(&own_pool));
     let controlled = |run_cfg: &McConfig, snap: &McResume| {
         run_mc_controlled(
             run_cfg,
@@ -644,6 +649,7 @@ pub fn run_tail_mc(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult, SaEr
                 resume: Some(snap),
                 observer: Some(&tee),
                 cancel: ctl.cancel,
+                search,
             },
         )
     };

@@ -769,6 +769,7 @@ fn drive_campaign(
             resume: Some(&current.resume),
             observer: None,
             cancel: Some(&token),
+            search: None,
         };
         let outcome = match run_mc_controlled(&merge_cfg, &ctl) {
             Ok(mut result) => {
@@ -1022,6 +1023,7 @@ fn serve_tail_corner(
             resume: Some(&current.resume),
             observer: None,
             cancel: None,
+            search: None,
         };
         match run_mc_controlled(&round_cfg, &ctl) {
             Ok(r) => {
@@ -1090,6 +1092,7 @@ fn serve_tail_delays(
         resume: Some(&current.resume),
         observer: None,
         cancel: None,
+        search: None,
     };
     // No offsets at all (or a budget overrun) leaves nothing to measure;
     // the final merge reports the corner's real outcome.

@@ -19,7 +19,7 @@ use issa_core::campaign::CampaignCorner;
 use issa_core::montecarlo::{
     run_delay_sample, run_offset_sample_with, McConfig, McPhase, SampleRun,
 };
-use issa_core::probe::OffsetSearch;
+use issa_core::probe::SearchPool;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -214,6 +214,10 @@ fn session(
     assignments_taken: &mut u32,
 ) -> Result<SessionEnd, DistError> {
     let worker_id = handshake(frames, fp, &opts.name)?;
+    // Offset-search carriers for the whole session: a unit of a circuit
+    // this worker already searched starts warm. Carriers change probe
+    // order, never results.
+    let pool = SearchPool::default();
     loop {
         match call(frames, &Msg::Request { worker_id })? {
             Msg::Done => return Ok(SessionEnd::Done),
@@ -255,7 +259,7 @@ fn session(
                         }
                     }
                 }
-                let result = compute_unit(&a, worker_id, corners, opts, frames, stats)?;
+                let result = compute_unit(&a, worker_id, corners, opts, frames, stats, &pool)?;
                 match call(frames, &Msg::Result(Box::new(result)))? {
                     Msg::Ack { unit_id } if unit_id == a.unit_id => stats.units_done += 1,
                     other => {
@@ -346,6 +350,7 @@ fn compute_unit(
     opts: &WorkerOptions,
     frames: &mut FrameStream<TcpStream>,
     stats: &mut WorkerStats,
+    pool: &SearchPool,
 ) -> Result<UnitResult, DistError> {
     let corner = corners
         .iter()
@@ -375,9 +380,9 @@ fn compute_unit(
     };
     let circuit_before = issa_circuit::perf::snapshot();
     let sense_before = issa_core::perf::sense_calls();
-    // One warm-started search per unit, exactly like one shard's loop:
-    // the carrier changes probe order, never the result.
-    let mut search = OffsetSearch::default();
+    // The session's carrier for this circuit, threaded through the unit
+    // exactly like one shard's loop.
+    let mut search = pool.lease(cfg, 0);
     let mut last_contact = Instant::now();
     if batching_enabled(cfg) {
         // Batched lockstep over the assigned range — a worker-local
@@ -392,7 +397,7 @@ fn compute_unit(
             err: None,
         };
         let runs = match a.phase {
-            McPhase::Offset => run_offset_batch(cfg, &indices, None, &mut hooks),
+            McPhase::Offset => run_offset_batch(cfg, &indices, None, &mut hooks, &mut search),
             McPhase::Delay => run_delay_batch(cfg, &indices, a.swing_volts(), None, &mut hooks),
         };
         if let Some(e) = hooks.err {

@@ -55,6 +55,13 @@ trap 'rm -rf "$GUARD_DIR"' EXIT
 rm -rf "$GUARD_DIR"
 trap - EXIT
 
+echo "== benchmark identity guard (perfbench: threads x lanes, repeatable counts) =="
+# The benchmark is a package of its own, outside the workspace: its
+# reduced workloads must give one results digest at threads {1, 2} x
+# lanes {0, 8} and repeat every exact count (probes, Newton iterations)
+# from run to run.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== fault injection / recovery suite =="
 cargo test -q -p issa-circuit --test recovery
 cargo test -q --test fault_quarantine

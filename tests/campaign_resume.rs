@@ -95,6 +95,68 @@ fn interrupted_campaign_resumes_bit_identically_across_thread_counts() {
     }
 }
 
+/// Corners of one circuit share the campaign's offset-search carriers,
+/// so the second corner of an uninterrupted run starts with the first
+/// one's fit, while a resumed run starts with an empty pool. A kill in
+/// the second corner, resumed at another thread count, still reproduces
+/// the uninterrupted results bit for bit: carriers steer probe order,
+/// never results.
+#[test]
+fn resume_with_an_empty_search_pool_is_bit_identical() {
+    const FIRST: usize = 24;
+    let corners = |threads| {
+        [(1e8, FIRST), (3e8, SAMPLES)].map(|(time, samples)| CampaignCorner {
+            name: format!("nssa t={time:e}"),
+            cfg: McConfig {
+                time,
+                samples,
+                ..base_cfg(threads)
+            },
+        })
+    };
+    let uninterrupted = run_campaign(&corners(1), &CampaignOptions::default()).unwrap();
+    assert!(!uninterrupted.partial);
+
+    let path = temp_ckpt("pool");
+    // The first corner's offsets and delays, then 3 of the second's.
+    let first_records = FIRST + FIRST.min(6);
+    let aborted = run_campaign(
+        &corners(1),
+        &CampaignOptions {
+            checkpoint: Some(path.clone()),
+            flush_every: 1,
+            abort_after: Some(first_records + 3),
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(aborted.partial);
+    assert!(aborted.result("nssa t=3e8").is_none_or(|r| r.partial));
+
+    let resumed = run_campaign(
+        &corners(2),
+        &CampaignOptions {
+            checkpoint: Some(path.clone()),
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(!resumed.partial);
+    assert!(resumed.resumed_records >= first_records + 3);
+    for corner in corners(1) {
+        assert_eq!(
+            resumed
+                .result(&corner.name)
+                .expect("resumed corner completes"),
+            uninterrupted
+                .result(&corner.name)
+                .expect("corner completes"),
+            "{} diverged after resume",
+            corner.name
+        );
+    }
+}
+
 /// A kill landing in the *delay* phase (offsets complete, delays partial)
 /// resumes just as cleanly.
 #[test]

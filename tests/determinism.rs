@@ -222,6 +222,96 @@ fn batched_predictive_search_matches_reference() {
 }
 
 #[test]
+fn batched_pooled_search_matches_reference() {
+    // A campaign keeps one pool of offset-search carriers across its
+    // corners, and a tail run keeps one across its pilot, blocks and final
+    // assembly. Carriers warmed by an earlier corner or round must change
+    // only which probes run: every thread × lane schedule reproduces the
+    // cold reference search bit for bit, and repeats its probe counts.
+    use issa::core::campaign::{run_campaign, CampaignCorner, CampaignOptions, CampaignReport};
+    use issa::core::montecarlo::McControl;
+    use issa::core::tail::{run_tail_mc, TailConfig};
+    let _counters = counters_exclusive();
+    let nssa = |time, samples| McConfig {
+        kind: SaKind::Nssa,
+        time,
+        ..base_cfg(samples)
+    };
+    // The first NSSA corner feeds each of two shards past the flip
+    // model's warm-up (13 features + 8 samples); the second corner alone
+    // would not get there.
+    let corners = [
+        ("nssa/1e8", nssa(1e8, 48)),
+        ("issa/1e8", base_cfg(16)),
+        ("nssa/3e8", nssa(3e8, 24)),
+    ];
+    let tail = McConfig {
+        tail: Some(TailConfig {
+            block_samples: 16,
+            max_samples: 64,
+            ..TailConfig::default()
+        }),
+        ..nssa(1e8, 32)
+    };
+    let run = |shape: &dyn Fn(&McConfig) -> McConfig| {
+        let list: Vec<CampaignCorner> = corners
+            .iter()
+            .map(|(name, cfg)| CampaignCorner {
+                name: (*name).into(),
+                cfg: shape(cfg),
+            })
+            .collect();
+        let report = run_campaign(&list, &CampaignOptions::default()).unwrap();
+        // A tail result's perf covers only its final assembly; count the
+        // probes of the whole run.
+        let before = issa::core::perf::sense_calls();
+        let tail = run_tail_mc(&shape(&tail), &McControl::default()).unwrap();
+        (report, tail, issa::core::perf::sense_calls() - before)
+    };
+    let result = |report: &CampaignReport, name: &str| report.result(name).unwrap().clone();
+
+    let (reference, reference_tail, _) = run(&|cfg| McConfig {
+        probe: cfg.probe.reference(),
+        threads: 2,
+        ..cfg.clone()
+    });
+    for threads in [1usize, 2] {
+        for lanes in [0usize, 8] {
+            let shape = |cfg: &McConfig| McConfig {
+                threads,
+                batch_lanes: lanes,
+                ..cfg.clone()
+            };
+            let at = format!("threads={threads} lanes={lanes}");
+            let (first, first_tail, first_tail_probes) = run(&shape);
+            let (again, again_tail, again_tail_probes) = run(&shape);
+            for (name, _) in &corners {
+                let r = result(&first, name);
+                assert_eq!(r, result(&reference, name), "{name} {at} diverged");
+                assert_eq!(
+                    r.perf.probes,
+                    result(&again, name).perf.probes,
+                    "{name} {at}: probe count not repeatable"
+                );
+            }
+            assert_eq!(first_tail, reference_tail, "tail {at} diverged");
+            assert_eq!(again_tail, reference_tail, "tail {at} rerun diverged");
+            assert_eq!(
+                first_tail_probes, again_tail_probes,
+                "tail {at}: probe count not repeatable"
+            );
+            // The second NSSA corner inherits the first one's fit.
+            let pooled = result(&first, "nssa/3e8").perf.probes;
+            let alone = run_mc(&shape(&corners[2].1)).unwrap().perf.probes;
+            assert!(
+                pooled as f64 <= 0.6 * alone as f64,
+                "{at}: pooled corner used {pooled} probes, alone {alone}"
+            );
+        }
+    }
+}
+
+#[test]
 fn predictive_search_halves_the_probes() {
     // One shard of 128 samples: the carrier's flip model predicts most
     // searches, which must cost at most 0.6× the cold reference's probes,
