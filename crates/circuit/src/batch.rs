@@ -1597,7 +1597,9 @@ mod tests {
     fn batch_perf_counters_are_recorded() {
         let template = latch_netlist(0.0);
         let mut runner = BatchRunner::new(&template, 4).unwrap();
-        let before = perf::snapshot();
+        // The runner works on this thread, so this thread's counters are
+        // exactly its own; the global ones also count sibling tests.
+        let before = perf::thread_snapshot();
         for (lane, s_ic) in [0.52, 0.48].into_iter().enumerate() {
             let n = latch_netlist(0.0);
             runner
@@ -1606,7 +1608,7 @@ mod tests {
         }
         let events = run_to_completion(&mut runner);
         assert!(events.iter().all(|e| e.outcome.is_ok()));
-        let d = perf::snapshot().delta_since(&before);
+        let d = perf::thread_snapshot().delta_since(&before);
         assert_eq!(d.transients, 2, "{d:?}");
         assert!(d.batched_steps > 0, "{d:?}");
         assert!(d.batch_lane_steps >= d.batched_steps, "{d:?}");

@@ -42,6 +42,26 @@ thread_local! {
     static TL_RECOVERY_ATTEMPTS: Cell<u64> = const { Cell::new(0) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test builds mirror every flush into a per-thread snapshot, so a
+    /// unit test reads exactly the counts its own thread wrote while
+    /// sibling tests simulate concurrently.
+    static TL_SNAPSHOT: Cell<PerfSnapshot> = Cell::new(PerfSnapshot::default());
+}
+
+#[cfg(test)]
+fn mirror(delta: &PerfSnapshot) {
+    TL_SNAPSHOT.with(|c| c.set(c.get().saturating_add(delta)));
+}
+
+/// The counters the current thread has flushed since it started (test
+/// builds only): exact for a region that runs entirely on this thread.
+#[cfg(test)]
+pub(crate) fn thread_snapshot() -> PerfSnapshot {
+    TL_SNAPSHOT.with(Cell::get)
+}
+
 /// A point-in-time reading of the global hot-path counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfSnapshot {
@@ -174,6 +194,12 @@ pub fn snapshot() -> PerfSnapshot {
 /// lane-iterations. Called by the batch engine once per event-loop slice,
 /// so the per-round overhead is zero.
 pub fn record_batch_rounds(rounds: u64, lane_steps: u64) {
+    #[cfg(test)]
+    mirror(&PerfSnapshot {
+        batched_steps: rounds,
+        batch_lane_steps: lane_steps,
+        ..PerfSnapshot::default()
+    });
     if rounds > 0 {
         BATCHED_STEPS.fetch_add(rounds, Ordering::Relaxed);
     }
@@ -186,6 +212,11 @@ pub fn record_batch_rounds(rounds: u64, lane_steps: u64) {
 /// engine. Public because the Monte Carlo scheduler in `issa-core` owns
 /// the peel-off decision.
 pub fn record_scalar_fallback() {
+    #[cfg(test)]
+    mirror(&PerfSnapshot {
+        scalar_fallbacks: 1,
+        ..PerfSnapshot::default()
+    });
     SCALAR_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -215,6 +246,20 @@ impl LocalCounts {
     /// Flushes the accumulated counts (plus one completed transient if
     /// `transient` is set) into the global counters.
     pub fn flush(&self, transient: bool) {
+        #[cfg(test)]
+        mirror(&PerfSnapshot {
+            transients: u64::from(transient),
+            timesteps: self.timesteps,
+            newton_iterations: self.newton_iterations,
+            lu_factorizations: self.lu_factorizations,
+            recoveries_damped: self.recoveries_damped,
+            recoveries_dt_halved: self.recoveries_dt_halved,
+            recoveries_gmin: self.recoveries_gmin,
+            recoveries_source: self.recoveries_source,
+            recoveries_failed: self.recoveries_failed,
+            cancellations: self.cancellations,
+            ..PerfSnapshot::default()
+        });
         if transient {
             TRANSIENTS.fetch_add(1, Ordering::Relaxed);
         }

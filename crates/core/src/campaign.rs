@@ -1,6 +1,6 @@
 //! The durable campaign engine: runs a list of Monte Carlo corners
-//! through [`run_tail_mc`] (which falls through to
-//! [`run_mc_controlled`](crate::montecarlo::run_mc_controlled) for
+//! through [`run_tail_mc`] (a single
+//! [`run_mc_controlled`](crate::montecarlo::run_mc_controlled) call for
 //! corners without a tail-estimation mode) with incremental
 //! checkpointing, signal and deadline cancellation, and graceful
 //! degradation.
@@ -324,6 +324,18 @@ impl CampaignReport {
     }
 }
 
+/// The [`CampaignReport::partial`] rule, shared by the local and the
+/// distributed campaign: anything is missing when a cancellation fired
+/// or some corner failed, was skipped, or returned a partial result.
+#[must_use]
+pub fn campaign_is_partial(cancelled: Option<CancelCause>, corners: &[CornerReport]) -> bool {
+    cancelled.is_some()
+        || corners.iter().any(|r| match &r.outcome {
+            CornerOutcome::Completed(res) => res.partial,
+            CornerOutcome::Failed(_) | CornerOutcome::Skipped => true,
+        })
+}
+
 /// Why a campaign refused to start.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
@@ -583,11 +595,11 @@ pub fn run_campaign(
             cancel: Some(&token),
             search: Some(&search),
         };
-        // `run_tail_mc` is a strict superset of `run_mc_controlled`: for
-        // corners without a tail mode it falls straight through, and for
-        // tail corners it runs the pilot/adaptive-round protocol on top of
-        // the same controlled engine (so checkpointing, cancellation, and
-        // resume all behave identically).
+        // `run_tail_mc` is a strict superset of `run_mc_controlled`: a
+        // corner without a tail mode is one call of it, and a tail corner
+        // runs the pilot/adaptive-round protocol on top of the same
+        // controlled engine (so checkpointing, cancellation, and resume
+        // all behave identically).
         let outcome = match run_tail_mc(&corner.cfg, &ctl) {
             Ok(result) => CornerOutcome::Completed(Box::new(result)),
             Err(e) => CornerOutcome::Failed(e),
@@ -630,11 +642,7 @@ pub fn run_campaign(
     let _ = watchdog.join();
 
     let cancelled = token.fired();
-    let partial = cancelled.is_some()
-        || reports.iter().any(|r| match &r.outcome {
-            CornerOutcome::Completed(res) => res.partial,
-            CornerOutcome::Failed(_) | CornerOutcome::Skipped => true,
-        });
+    let partial = campaign_is_partial(cancelled, &reports);
     let checkpoint_degraded = {
         let s = lock(&sink.state);
         s.writer

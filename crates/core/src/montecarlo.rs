@@ -259,7 +259,7 @@ pub struct McConfig {
     /// Importance-sampled tail-estimation mode (see [`crate::tail`]).
     /// `None` — the default — is the classic engine, bit-identical to
     /// previous behaviour. `Some` with an unresolved proposal marks a
-    /// config the adaptive driver ([`crate::tail::run_tail_mc`]) owns;
+    /// config the adaptive driver ([`crate::tail::TailDriver`]) owns;
     /// `Some` with a resolved proposal makes [`build_sample`] draw
     /// indices past the pilot from the mixture-shifted proposal and makes
     /// [`run_mc_controlled`] assemble weighted statistics.
@@ -787,19 +787,6 @@ pub fn run_delay_sample(
     })
 }
 
-/// The offset-voltage specification exactly as [`run_mc`] derives it from
-/// the surviving offsets: Eq. 3 over (μ, σ), degenerating to |μ| when the
-/// spread is zero (tiny runs quantized to the search grid).
-#[must_use]
-pub fn offset_spec_from_samples(cfg: &McConfig, offsets: &[f64]) -> f64 {
-    let summary = Summary::of(offsets);
-    if summary.std > 0.0 {
-        offset_spec(summary.mean, summary.std, cfg.failure_rate)
-    } else {
-        summary.mean.abs()
-    }
-}
-
 /// The bitline swing the delay phase measures at, given the corner's
 /// offset spec (see [`DelaySwingPolicy`]). Spec-provisioned swings get a
 /// 50 % dynamic margin above the *static* spec: aged pass transistors
@@ -1029,9 +1016,12 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
         .filter_map(|(i, v)| v.map(|x| (i, x)))
         .collect();
     let tail_eval = crate::tail::evaluate_weighted(cfg, &indexed_offsets, ctl.resume);
+    // Classic mode: Eq. 3 over (μ, σ), degenerating to |μ| when the
+    // spread is zero (tiny runs quantized to the search grid).
     let spec = match &tail_eval {
         Some(e) => e.spec,
-        None => offset_spec_from_samples(cfg, &offsets),
+        None if summary.std > 0.0 => offset_spec(summary.mean, summary.std, cfg.failure_rate),
+        None => summary.mean.abs(),
     };
     let ks_sqrt_n = if tail_eval.is_some() {
         // The weighted sample deliberately follows the mixture proposal,

@@ -35,7 +35,7 @@
 //!    log-likelihood ratio is computed in closed form by
 //!    [`tail_log_weight`] without a single circuit solve, and the
 //!    defensive mixture bounds every weight by `1/m`.
-//! 3. **Adaptive stopping** — [`run_tail_mc`] grows the sample set in
+//! 3. **Adaptive stopping** — [`TailDriver`] grows the sample set in
 //!    deterministic, seed-indexed blocks and stops when the relative CI
 //!    half-width of the weighted `(1−fr)`-quantile of `|offset|` meets
 //!    [`TailConfig::ci_rel_target`] *and* the tail effective sample size
@@ -47,7 +47,9 @@
 //! Every sample stays a pure function of `(cfg, index)` and the stopping
 //! rule is evaluated only at block boundaries over the full index set, so
 //! tail results are invariant to thread count, lane width, worker count,
-//! and checkpoint resume splits.
+//! and checkpoint resume splits. The protocol exists once, in
+//! [`TailDriver`]; [`run_tail_mc`] runs its steps in process and the
+//! distribution coordinator serves the same steps to workers.
 
 use crate::montecarlo::{
     run_mc_controlled, McConfig, McControl, McObserver, McPhase, McResult, McResume, SampleFailure,
@@ -126,7 +128,7 @@ impl TailProposal {
 /// Configuration of the importance-sampled tail-estimation mode.
 ///
 /// User-facing configs carry `resolved: None`; the adaptive driver
-/// ([`run_tail_mc`]) or a distribution worker installs the resolved
+/// ([`TailDriver`]) or a distribution worker installs the resolved
 /// proposal before running weighted rounds. [`McConfig::samples`] is the
 /// pilot size; the adaptive rounds extend the index set beyond it.
 #[derive(Debug, Clone, PartialEq)]
@@ -615,95 +617,176 @@ impl McObserver for TeeObserver<'_> {
     }
 }
 
-/// Runs one corner in adaptive tail-estimation mode: pilot → proposal fit
-/// → weighted blocks until the stopping rule (or the sample cap, or a
-/// campaign cancellation) lands → final assembly with the delay phase.
+/// One request of the tail protocol to its executor (see [`TailDriver`]).
+#[derive(Debug, Clone)]
+pub enum TailStep {
+    /// Make every offset in `[0, samples)` of this config present (its
+    /// `delay_samples` is 0), then pass the round's assembled result as
+    /// `last` to the next [`TailDriver::next`] call.
+    Offsets(McConfig),
+    /// Assemble the corner's final result under this config, delay phase
+    /// included. Terminal: later calls return the same step.
+    Finish(McConfig),
+}
+
+/// Where a [`TailDriver`] stands.
+#[derive(Debug, Clone)]
+enum Stage {
+    /// Nothing asked yet.
+    Start,
+    /// The pilot was asked for; its records resolve the proposal.
+    Pilot,
+    /// Adaptive rounds under the resolved tail settings.
+    Rounds(TailConfig),
+    /// The final config was handed out.
+    Done(Box<McConfig>),
+}
+
+/// The adaptive tail protocol as a state machine: pilot → proposal fit →
+/// weighted blocks → stop rule → final config. It asks for sample ranges
+/// and reads back records and round results, but never runs a sample:
+/// [`run_tail_mc`] executes its steps in process and the distribution
+/// coordinator serves them to workers, so both stop at the same sample
+/// count and assemble under the same final config.
 ///
-/// Configs without tail mode (or with an already-resolved proposal) fall
-/// through to [`run_mc_controlled`] unchanged, so this is a drop-in
-/// superset of the classic entry point. The delay phase measures at most
-/// [`McConfig::delay_samples`] of the *pilot* indices — delay statistics
-/// stay over nominal draws and need no weighting.
+/// A config without tail mode, or with an already-resolved proposal, is
+/// a single [`TailStep::Finish`] of the config itself.
+#[derive(Debug, Clone)]
+pub struct TailDriver {
+    cfg: McConfig,
+    stage: Stage,
+    /// Sample count of the latest round (the pilot size before any).
+    n: usize,
+    rounds: u32,
+}
+
+impl TailDriver {
+    /// A driver for one corner.
+    #[must_use]
+    pub fn new(cfg: &McConfig) -> Self {
+        Self {
+            cfg: cfg.clone(),
+            stage: Stage::Start,
+            n: cfg.samples,
+            rounds: 0,
+        }
+    }
+
+    /// Adaptive rounds asked for after the pilot so far.
+    #[must_use]
+    pub fn rounds(&self) -> u32 {
+        self.rounds
+    }
+
+    /// The next step. `records` holds every record collected so far (the
+    /// pilot's offsets resolve the proposal); `last` is the assembled
+    /// result of the previous [`TailStep::Offsets`] step, `None` when it
+    /// could not be assembled (ignored on the first call).
+    ///
+    /// The rounds stop when the last one is partial, converged, or
+    /// `None`, or when the sample cap is reached. A pilot that is partial
+    /// or `None` finishes under the original config: no proposal exists.
+    pub fn next(&mut self, records: &McResume, last: Option<&McResult>) -> TailStep {
+        let adaptive = self.cfg.tail.clone().filter(|t| t.resolved.is_none());
+        let stop = last.is_none_or(|r| r.partial || r.tail.as_ref().is_some_and(|t| t.converged));
+        let (tail, stop) = match (std::mem::replace(&mut self.stage, Stage::Pilot), adaptive) {
+            (Stage::Done(cfg), _) => return self.finish(*cfg),
+            (_, None) => return self.finish(self.cfg.clone()),
+            (Stage::Start, Some(_)) => {
+                return TailStep::Offsets(McConfig {
+                    delay_samples: 0,
+                    ..self.cfg.clone()
+                })
+            }
+            (Stage::Pilot, Some(_)) if stop => return self.finish(self.cfg.clone()),
+            (Stage::Pilot, Some(tail)) => {
+                let proposal = resolve_proposal(&self.cfg, &records.offsets);
+                (
+                    TailConfig {
+                        resolved: Some(proposal),
+                        ..tail
+                    },
+                    false,
+                )
+            }
+            (Stage::Rounds(tail), Some(_)) => (tail, stop),
+        };
+        let max_samples = tail.max_samples.max(self.cfg.samples);
+        let round = McConfig {
+            samples: self.n,
+            delay_samples: 0,
+            tail: Some(tail.clone()),
+            ..self.cfg.clone()
+        };
+        if stop || self.n >= max_samples {
+            // The delay phase measures at most the pilot indices, so the
+            // delay statistics stay over nominal draws.
+            return self.finish(McConfig {
+                delay_samples: self.cfg.delay_samples.min(self.cfg.samples),
+                ..round
+            });
+        }
+        self.n = self
+            .n
+            .saturating_add(tail.block_samples.max(1))
+            .min(max_samples);
+        self.rounds += 1;
+        self.stage = Stage::Rounds(tail);
+        TailStep::Offsets(McConfig {
+            samples: self.n,
+            ..round
+        })
+    }
+
+    fn finish(&mut self, cfg: McConfig) -> TailStep {
+        self.stage = Stage::Done(Box::new(cfg.clone()));
+        TailStep::Finish(cfg)
+    }
+}
+
+/// Runs one corner in adaptive tail-estimation mode: the local executor
+/// of [`TailDriver`]. Each [`TailStep::Offsets`] step is one
+/// [`run_mc_controlled`] call whose result is the round's `last`; the
+/// [`TailStep::Finish`] step is one more call, with the delay phase. One
+/// accumulator carries every record from call to call (and forwards each
+/// fresh one to the caller's observer), and one [`SearchPool`] keeps the
+/// offset-search carriers warm across them.
+///
+/// Configs without tail mode (or with an already-resolved proposal) are
+/// a single [`run_mc_controlled`] call, so this is a drop-in superset of
+/// the classic entry point.
 ///
 /// # Errors
 ///
 /// Exactly [`run_mc_controlled`]'s: a failure budget overrun in any
 /// round, or a cancellation before any offset sample completed.
 pub fn run_tail_mc(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult, SaError> {
-    let Some(tail) = cfg.tail.clone() else {
-        return run_mc_controlled(cfg, ctl);
-    };
-    if tail.resolved.is_some() {
-        return run_mc_controlled(cfg, ctl);
-    }
-    let max_samples = tail.max_samples.max(cfg.samples);
+    let mut driver = TailDriver::new(cfg);
     let tee = TeeObserver::new(ctl.resume.cloned().unwrap_or_default(), ctl.observer);
-    // One pool for the pilot, every block and the final assembly, so each
-    // block's shards inherit the fit the pilot's shards built.
     let own_pool = SearchPool::default();
     let search = Some(ctl.search.unwrap_or(&own_pool));
-    let controlled = |run_cfg: &McConfig, snap: &McResume| {
-        run_mc_controlled(
+    let mut last = None;
+    loop {
+        let records = tee.snapshot();
+        let step = driver.next(&records, last.as_ref());
+        let (TailStep::Offsets(run_cfg) | TailStep::Finish(run_cfg)) = &step;
+        let mut result = run_mc_controlled(
             run_cfg,
             &McControl {
-                resume: Some(snap),
+                resume: Some(&records),
                 observer: Some(&tee),
                 cancel: ctl.cancel,
                 search,
             },
-        )
-    };
-
-    // Pilot: nominal draws, classic statistics, delay phase deferred to
-    // the final assembly.
-    let pilot_cfg = McConfig {
-        delay_samples: 0,
-        ..cfg.clone()
-    };
-    let pilot = controlled(&pilot_cfg, &tee.snapshot())?;
-    if pilot.partial {
-        // Cancelled mid-pilot: no proposal exists yet, so report the
-        // classic partial result; a resume re-enters here bit-identically.
-        return Ok(pilot);
-    }
-    let proposal = resolve_proposal(cfg, &tee.snapshot().offsets);
-    let resolved = TailConfig {
-        resolved: Some(proposal),
-        ..tail.clone()
-    };
-
-    // Adaptive blocks: indices [pilot, n) draw from the mixture proposal;
-    // the stopping rule is checked only at these block boundaries.
-    let mut n = cfg.samples;
-    let mut rounds: u32 = 0;
-    while n < max_samples {
-        n = n.saturating_add(tail.block_samples.max(1)).min(max_samples);
-        rounds += 1;
-        let round_cfg = McConfig {
-            samples: n,
-            delay_samples: 0,
-            tail: Some(resolved.clone()),
-            ..cfg.clone()
-        };
-        let round = controlled(&round_cfg, &tee.snapshot())?;
-        if round.partial || round.tail.as_ref().is_some_and(|t| t.converged) {
-            break;
+        )?;
+        if let TailStep::Finish(_) = step {
+            if let Some(t) = result.tail.as_mut() {
+                t.rounds = driver.rounds();
+            }
+            return Ok(result);
         }
+        last = Some(result);
     }
-
-    // Final assembly: everything restored from the accumulator, plus the
-    // delay phase over (at most) the pilot indices.
-    let final_cfg = McConfig {
-        samples: n,
-        delay_samples: cfg.delay_samples.min(cfg.samples),
-        tail: Some(resolved),
-        ..cfg.clone()
-    };
-    let mut result = controlled(&final_cfg, &tee.snapshot())?;
-    if let Some(t) = result.tail.as_mut() {
-        t.rounds = rounds;
-    }
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -923,6 +1006,176 @@ mod tests {
             ..cfg.clone()
         };
         assert!(with_resolved(&plain, &shift, &neg).tail.is_none());
+    }
+
+    /// A synthetic round result: only `partial` and the tail summary's
+    /// `converged` matter to the driver.
+    fn round_result(partial: bool, converged: bool) -> McResult {
+        McResult {
+            offsets: vec![],
+            delays: vec![],
+            mu: 0.0,
+            sigma: 0.0,
+            spec: 0.0,
+            mean_delay: f64::NAN,
+            ks_sqrt_n: f64::NAN,
+            failures: vec![],
+            requested: 0,
+            partial,
+            mu_ci95: f64::NAN,
+            delay_ci95: f64::NAN,
+            tail: Some(TailSummary {
+                shift: 0.0,
+                pilot: 0,
+                ess: 0.0,
+                tail_ess: 0.0,
+                spec_lo: 0.0,
+                spec_hi: f64::INFINITY,
+                rel_ci_half: f64::NAN,
+                samples_used: 0,
+                converged,
+                rounds: 0,
+            }),
+            perf: crate::montecarlo::McPerf::default(),
+        }
+    }
+
+    fn offsets_cfg(step: TailStep) -> McConfig {
+        match step {
+            TailStep::Offsets(cfg) => cfg,
+            TailStep::Finish(cfg) => {
+                panic!("expected Offsets, got Finish({} samples)", cfg.samples)
+            }
+        }
+    }
+
+    fn finish_cfg(step: TailStep) -> McConfig {
+        match step {
+            TailStep::Finish(cfg) => cfg,
+            TailStep::Offsets(cfg) => {
+                panic!("expected Finish, got Offsets({} samples)", cfg.samples)
+            }
+        }
+    }
+
+    /// Runs the driver past its pilot (fitted from no records, so the
+    /// proposal is the zero shift: no transients needed) and returns the
+    /// first round's config.
+    fn past_pilot(driver: &mut TailDriver, cfg: &McConfig) -> McConfig {
+        let none = McResume::default();
+        let pilot = offsets_cfg(driver.next(&none, None));
+        assert_eq!(pilot.samples, cfg.samples);
+        assert_eq!(pilot.delay_samples, 0);
+        assert!(pilot.tail.as_ref().unwrap().resolved.is_none());
+        offsets_cfg(driver.next(&none, Some(&round_result(false, false))))
+    }
+
+    #[test]
+    fn driver_finishes_classic_and_pre_resolved_configs_at_once() {
+        let none = McResume::default();
+        let classic = McConfig {
+            tail: None,
+            ..tail_cfg(16, TailConfig::default())
+        };
+        for cfg in [classic, resolved(16, 5.0)] {
+            let mut driver = TailDriver::new(&cfg);
+            let first = finish_cfg(driver.next(&none, None));
+            assert_eq!(format!("{first:?}"), format!("{cfg:?}"));
+            // Terminal: asking again repeats the same step.
+            let again = finish_cfg(driver.next(&none, Some(&round_result(false, false))));
+            assert_eq!(format!("{again:?}"), format!("{cfg:?}"));
+            assert_eq!(driver.rounds(), 0);
+        }
+    }
+
+    #[test]
+    fn cut_short_pilot_finishes_under_the_original_config() {
+        let cfg = tail_cfg(16, TailConfig::default());
+        let none = McResume::default();
+        for last in [Some(round_result(true, false)), None] {
+            let mut driver = TailDriver::new(&cfg);
+            offsets_cfg(driver.next(&none, None));
+            let done = finish_cfg(driver.next(&none, last.as_ref()));
+            assert_eq!(format!("{done:?}"), format!("{cfg:?}"));
+            assert_eq!(driver.rounds(), 0);
+        }
+    }
+
+    #[test]
+    fn rounds_stop_on_converged_partial_and_unassembled() {
+        let cfg = tail_cfg(
+            16,
+            TailConfig {
+                block_samples: 8,
+                max_samples: 1000,
+                ..TailConfig::default()
+            },
+        );
+        let none = McResume::default();
+        for last in [
+            Some(round_result(false, true)),
+            Some(round_result(true, false)),
+            None,
+        ] {
+            let mut driver = TailDriver::new(&cfg);
+            let first = past_pilot(&mut driver, &cfg);
+            assert_eq!(first.samples, 24);
+            assert_eq!(first.delay_samples, 0);
+            let proposal = first.tail.as_ref().unwrap().resolved.clone().unwrap();
+            assert_eq!(proposal.pilot, 16);
+            let second = offsets_cfg(driver.next(&none, Some(&round_result(false, false))));
+            assert_eq!(second.samples, 32);
+            assert_eq!(driver.rounds(), 2);
+            let done = finish_cfg(driver.next(&none, last.as_ref()));
+            assert_eq!(done.samples, 32);
+            assert_eq!(done.delay_samples, cfg.delay_samples.min(16));
+            assert_eq!(done.tail.unwrap().resolved.unwrap(), proposal);
+            assert_eq!(driver.rounds(), 2);
+        }
+    }
+
+    #[test]
+    fn cap_off_the_block_grid_clamps_the_last_round() {
+        let cfg = tail_cfg(
+            10,
+            TailConfig {
+                block_samples: 4,
+                max_samples: 19,
+                ..TailConfig::default()
+            },
+        );
+        let mut driver = TailDriver::new(&cfg);
+        let mut sizes = vec![past_pilot(&mut driver, &cfg).samples];
+        let step = loop {
+            match driver.next(&McResume::default(), Some(&round_result(false, false))) {
+                TailStep::Offsets(round) => sizes.push(round.samples),
+                finish @ TailStep::Finish(_) => break finish,
+            }
+        };
+        assert_eq!(sizes, [14, 18, 19]);
+        assert_eq!(driver.rounds(), 3);
+        assert_eq!(finish_cfg(step).samples, 19);
+    }
+
+    #[test]
+    fn pilot_at_or_past_the_cap_runs_no_rounds() {
+        let none = McResume::default();
+        for max_samples in [16, 8] {
+            let cfg = tail_cfg(
+                16,
+                TailConfig {
+                    max_samples,
+                    ..TailConfig::default()
+                },
+            );
+            let mut driver = TailDriver::new(&cfg);
+            offsets_cfg(driver.next(&none, None));
+            let done = finish_cfg(driver.next(&none, Some(&round_result(false, false))));
+            assert_eq!(done.samples, 16);
+            assert_eq!(done.delay_samples, cfg.delay_samples);
+            assert!(done.tail.unwrap().resolved.is_some());
+            assert_eq!(driver.rounds(), 0);
+        }
     }
 
     #[test]

@@ -11,21 +11,20 @@
 //! resumed run would. Worker count, unit size, lease churn, retries, and
 //! record arrival order therefore cannot perturb the result: the merge
 //! is a function of the *set* of records, and the set is fixed by the
-//! configuration. The one corner-wide coupling — the delay phase's
-//! bitline swing, derived from the offset distribution — is resolved
-//! here once per corner ([`delay_swing_volts`] over the index-ordered
-//! offsets) and shipped to workers as exact `f64` bits.
+//! configuration.
 //!
-//! Tail-estimation corners ([`McConfig::tail`]) extend the same
-//! discipline: the pilot phase is served like a classic offset phase,
-//! the proposal scale is resolved here (a pure function of the merged
-//! pilot offsets) and shipped on every tail-round assignment as exact
-//! `f64` bits in the `swing_bits` slot, and additional sample-range
-//! units are issued block by block only while the stopping rule is
-//! unmet — checked between rounds by a zero-solve re-assembly of the
-//! merged records, so a distributed tail run stops at exactly the
-//! sample count a local one does. Outstanding leases for a converged
-//! corner die with the retired phase scheduler.
+//! What to serve comes from the corner's [`TailDriver`], the same state
+//! machine [`issa_core::tail::run_tail_mc`] executes locally. A corner
+//! without tail mode is one `Finish` step; a tail corner is a pilot
+//! `Offsets` step, adaptive `Offsets` rounds, then `Finish`. For an
+//! `Offsets` step the coordinator serves the missing offset indices
+//! (round units carry the resolved proposal as exact `f64` bits) and
+//! hands the driver a zero-solve re-assembly of the merged records, so
+//! the stop rule sees exactly the statistics a local run sees at the
+//! same block boundary. For `Finish` it serves any missing offsets,
+//! derives the one corner-wide coupling, the delay phase's bitline
+//! swing, from the spec of a zero-solve assembly, ships that swing to
+//! workers as exact `f64` bits, serves the delays, and merges.
 //!
 //! # Liveness
 //!
@@ -51,15 +50,16 @@ use crate::worker::{run_worker, WorkerOptions, WorkerStats};
 use crate::DistError;
 use issa_circuit::cancel::{CancelCause, CancelToken};
 use issa_core::campaign::{
-    interrupt, CampaignCorner, CampaignError, CampaignOptions, CampaignReport, CheckpointWriter,
-    CornerOutcome, CornerReport,
+    campaign_is_partial, interrupt, CampaignCorner, CampaignError, CampaignOptions, CampaignReport,
+    CheckpointWriter, CornerOutcome, CornerReport,
 };
 use issa_core::checkpoint::{config_fingerprint, Checkpoint, CornerCheckpoint, SavePolicy};
 use issa_core::montecarlo::{
-    delay_swing_volts, offset_spec_from_samples, run_mc_controlled, FailureKind, McConfig,
-    McControl, McPhase, McResume, SampleFailure,
+    delay_swing_volts, run_mc_controlled, FailureKind, McConfig, McControl, McPhase, McResult,
+    McResume, SampleFailure,
 };
-use issa_core::tail::{resolve_proposal, tail_log_weight, with_resolved};
+use issa_core::tail::{tail_log_weight, TailDriver, TailStep};
+use issa_core::SaError;
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -645,9 +645,10 @@ fn log_worker_exit(opts: &ServeOptions, stats: &WorkerStats) {
     }
 }
 
-/// The main scheduling loop: corners in order, two phases per corner,
-/// records merged and checkpointed as they arrive, final statistics
-/// assembled by [`run_mc_controlled`] from the merged resume.
+/// The main scheduling loop: corners in order, each served step by step
+/// as its [`TailDriver`] asks, records merged and checkpointed as they
+/// arrive, final statistics assembled by [`run_mc_controlled`] from the
+/// merged resume.
 fn drive_campaign(
     corners: &[CampaignCorner],
     opts: &ServeOptions,
@@ -688,71 +689,72 @@ fn drive_campaign(
             );
         }
 
-        let (merge_cfg, tail_rounds): (McConfig, u32) = if cfg.tail.is_some() {
-            serve_tail_corner(
+        // The tail protocol decides what to serve (a corner without tail
+        // mode is a single Finish step); the coordinator only serves it.
+        let mut serve = |current: &mut CornerCheckpoint,
+                         phase: McPhase,
+                         swing: f64,
+                         pending: &[usize],
+                         phase_cfg: &McConfig| {
+            serve_phase(
                 corner,
+                phase,
+                swing.to_bits(),
+                pending,
+                phase_cfg,
                 opts,
                 shared,
-                &mut current,
+                current,
                 &done_corners,
                 &mut sched_total,
                 &mut units_budget,
                 writer,
             )
-        } else {
-            // ---- Phase 1: offsets ---------------------------------------
-            let pending = pending_offsets(&current.resume, 0, cfg.samples);
-            let phase_aborted = serve_phase(
-                corner,
-                McPhase::Offset,
-                0,
-                &[],
-                &pending,
-                opts,
-                shared,
-                &mut current,
-                &done_corners,
-                &mut sched_total,
-                &mut units_budget,
-                writer,
-                None,
-            );
-
-            // ---- Phase 2: delays ----------------------------------------
-            let delay_count = cfg.delay_samples.min(cfg.samples);
-            if delay_count > 0 && !phase_aborted {
-                // The corner-wide swing, from the merged, index-ordered
-                // offset distribution — exactly what the in-process engine
-                // derives between its phases.
-                let mut offsets_by_index: Vec<Option<f64>> = vec![None; cfg.samples];
-                for &(i, v) in &current.resume.offsets {
-                    if i < cfg.samples {
-                        offsets_by_index[i] = Some(v);
-                    }
+        };
+        let mut driver = TailDriver::new(cfg);
+        let mut last = None;
+        let merge_cfg = loop {
+            let step = driver.next(&current.resume, last.as_ref());
+            let (TailStep::Offsets(step_cfg) | TailStep::Finish(step_cfg)) = &step;
+            if opts.progress && matches!(step, TailStep::Offsets(_)) && driver.rounds() > 0 {
+                eprintln!(
+                    "serve: corner {:?} tail round {} to {} samples",
+                    corner.name,
+                    driver.rounds(),
+                    step_cfg.samples
+                );
+            }
+            let pending = pending_offsets(&current.resume, step_cfg.samples);
+            let aborted = serve(&mut current, McPhase::Offset, 0.0, &pending, step_cfg);
+            match step {
+                // The stop rule reads a zero-solve re-assembly of the
+                // merged records: the statistics the local engine checks
+                // at the same block boundary. A round cut short by the
+                // abort hook has none, so the driver finishes.
+                TailStep::Offsets(round_cfg) if !aborted => {
+                    last = assemble(&round_cfg, &current.resume, None).ok();
                 }
-                let offsets: Vec<f64> = offsets_by_index.iter().copied().flatten().collect();
-                if !offsets.is_empty() {
-                    let spec = offset_spec_from_samples(cfg, &offsets);
-                    let swing = delay_swing_volts(cfg, spec);
+                TailStep::Offsets(_) => last = None,
+                TailStep::Finish(final_cfg) => {
+                    let delay_count = final_cfg.delay_samples.min(final_cfg.samples);
                     let pending = pending_delays(&current.resume, delay_count);
-                    serve_phase(
-                        corner,
-                        McPhase::Delay,
-                        swing.to_bits(),
-                        &[],
-                        &pending,
-                        opts,
-                        shared,
-                        &mut current,
-                        &done_corners,
-                        &mut sched_total,
-                        &mut units_budget,
-                        writer,
-                        None,
-                    );
+                    // The corner-wide swing comes from the spec of a
+                    // zero-solve assembly without the delay phase. An
+                    // assembly error (no offsets, failure budget overrun)
+                    // leaves nothing to measure; the merge reports it.
+                    if !aborted && !pending.is_empty() {
+                        let offsets_only = McConfig {
+                            delay_samples: 0,
+                            ..final_cfg.clone()
+                        };
+                        if let Ok(r) = assemble(&offsets_only, &current.resume, None) {
+                            let swing = delay_swing_volts(&final_cfg, r.spec);
+                            serve(&mut current, McPhase::Delay, swing, &pending, &final_cfg);
+                        }
+                    }
+                    break final_cfg;
                 }
             }
-            (cfg.clone(), 0)
         };
 
         aborted =
@@ -765,16 +767,10 @@ fn drive_campaign(
             // keeps completed work and reports the corner partial.
             token.cancel(CancelCause::Interrupt);
         }
-        let ctl = McControl {
-            resume: Some(&current.resume),
-            observer: None,
-            cancel: Some(&token),
-            search: None,
-        };
-        let outcome = match run_mc_controlled(&merge_cfg, &ctl) {
+        let outcome = match assemble(&merge_cfg, &current.resume, Some(&token)) {
             Ok(mut result) => {
                 if let Some(t) = result.tail.as_mut() {
-                    t.rounds = tail_rounds;
+                    t.rounds = driver.rounds();
                 }
                 CornerOutcome::Completed(Box::new(result))
             }
@@ -806,11 +802,7 @@ fn drive_campaign(
     }
 
     let cancelled = aborted.then_some(CancelCause::Interrupt);
-    let partial = cancelled.is_some()
-        || reports.iter().any(|r| match &r.outcome {
-            CornerOutcome::Completed(res) => res.partial,
-            CornerOutcome::Failed(_) | CornerOutcome::Skipped => true,
-        });
+    let partial = campaign_is_partial(cancelled, &reports);
     if !partial {
         if let Some(path) = &opts.checkpoint {
             let _ = std::fs::remove_file(path);
@@ -829,22 +821,21 @@ fn drive_campaign(
     )
 }
 
-/// Offset-phase indices in `[start, end)` the resume does not already
-/// cover (completed or quarantined).
-fn pending_offsets(resume: &McResume, start: usize, end: usize) -> Vec<usize> {
-    let span = end.saturating_sub(start);
-    let mut done = vec![false; span];
+/// Offset-phase indices in `[0, end)` the resume does not already cover
+/// (completed or quarantined).
+fn pending_offsets(resume: &McResume, end: usize) -> Vec<usize> {
+    let mut done = vec![false; end];
     for &(i, _) in &resume.offsets {
-        if i >= start && i < end {
-            done[i - start] = true;
+        if i < end {
+            done[i] = true;
         }
     }
     for f in &resume.failures {
-        if f.phase == McPhase::Offset && f.index >= start && f.index < end {
-            done[f.index - start] = true;
+        if f.phase == McPhase::Offset && f.index < end {
+            done[f.index] = true;
         }
     }
-    (start..end).filter(|&i| !done[i - start]).collect()
+    (0..end).filter(|&i| !done[i]).collect()
 }
 
 /// Delay-phase indices in `[0, delay_count)` still wanted: the sample's
@@ -872,265 +863,39 @@ fn pending_delays(resume: &McResume, delay_count: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Serves a tail-estimation corner: pilot phase, proposal resolution (a
-/// pure function of the merged pilot offsets, so every restart resolves
-/// the identical shift), adaptive sample-range rounds issued only while
-/// the stopping rule is unmet, then the delay phase at the weighted-spec
-/// swing. The stopping rule is evaluated between rounds by a zero-solve
-/// re-assembly of the merged records under the round's effective config
-/// — the same statistics the local engine checks at the same block
-/// boundary — so a distributed tail run converges on exactly the sample
-/// set (and the bit-identical result) of a local
-/// [`issa_core::tail::run_tail_mc`] run.
-///
-/// Returns the effective configuration the final merge must restore
-/// under, plus the adaptive round count for the result's tail summary.
-#[allow(clippy::too_many_arguments)]
-fn serve_tail_corner(
-    corner: &CampaignCorner,
-    opts: &ServeOptions,
-    shared: &Shared,
-    current: &mut CornerCheckpoint,
-    done_corners: &[CornerCheckpoint],
-    sched_total: &mut SchedStats,
-    units_budget: &mut Option<u64>,
-    writer: &mut Option<CheckpointWriter>,
-) -> (McConfig, u32) {
-    let cfg = &corner.cfg;
-    let Some(tail) = cfg.tail.clone() else {
-        return (cfg.clone(), 0);
-    };
-
-    // A pre-resolved config mirrors the local fallthrough (one classic
-    // run under the stored proposal): a single offset phase over
-    // [0, samples), shifted indices reconstructing the per-device shift
-    // from the exact bits shipped in the assignment.
-    if let Some(p) = tail.resolved {
-        let tail_bits: Vec<u64> = p
-            .shift
-            .iter()
-            .chain(p.neg.iter())
-            .map(|s| s.to_bits())
-            .collect();
-        let pending = pending_offsets(&current.resume, 0, cfg.samples);
-        let aborted = serve_phase(
-            corner,
-            McPhase::Offset,
-            0,
-            &tail_bits,
-            &pending,
-            opts,
-            shared,
-            current,
-            done_corners,
-            sched_total,
-            units_budget,
-            writer,
-            Some(cfg),
-        );
-        if !aborted {
-            serve_tail_delays(
-                corner,
-                cfg,
-                opts,
-                shared,
-                current,
-                done_corners,
-                sched_total,
-                units_budget,
-                writer,
-            );
-        }
-        return (cfg.clone(), 0);
-    }
-
-    // ---- Pilot: indices [0, samples) draw nominally -----------------
-    let pending = pending_offsets(&current.resume, 0, cfg.samples);
-    if serve_phase(
-        corner,
-        McPhase::Offset,
-        0,
-        &[],
-        &pending,
-        opts,
-        shared,
-        current,
-        done_corners,
-        sched_total,
-        units_budget,
-        writer,
-        None,
-    ) {
-        // Interrupted mid-pilot: no proposal exists yet. Merging under
-        // the original config reports the classic partial result a local
-        // pilot abort does, and a resumed campaign re-enters here.
-        return (cfg.clone(), 0);
-    }
-
-    // ---- Proposal: resolved here, shipped as exact bits --------------
-    // `resolve_proposal` filters to pilot indices, sorts, and dedups
-    // internally, so the raw indexed resume records feed it directly.
-    let proposal = resolve_proposal(cfg, &current.resume.offsets);
-    let tail_bits: Vec<u64> = proposal
-        .shift
-        .iter()
-        .chain(proposal.neg.iter())
-        .map(|s| s.to_bits())
-        .collect();
-    let resolved_cfg = with_resolved(cfg, &proposal.shift, &proposal.neg);
-    if opts.progress {
-        eprintln!(
-            "serve: corner {:?} tail proposal |shift| {:.3} (pilot {})",
-            corner.name,
-            proposal.magnitude(),
-            proposal.pilot
-        );
-    }
-
-    // ---- Adaptive rounds: deterministic blocks until converged -------
-    let max_samples = tail.max_samples.max(cfg.samples);
-    let mut n = cfg.samples;
-    let mut rounds: u32 = 0;
-    let mut round_aborted = false;
-    while n < max_samples {
-        n = n.saturating_add(tail.block_samples.max(1)).min(max_samples);
-        rounds += 1;
-        let round_cfg = McConfig {
-            samples: n,
-            delay_samples: 0,
-            ..resolved_cfg.clone()
-        };
-        let pending = pending_offsets(&current.resume, 0, n);
-        if serve_phase(
-            corner,
-            McPhase::Offset,
-            0,
-            &tail_bits,
-            &pending,
-            opts,
-            shared,
-            current,
-            done_corners,
-            sched_total,
-            units_budget,
-            writer,
-            Some(&round_cfg),
-        ) {
-            round_aborted = true;
-            break;
-        }
-        let ctl = McControl {
-            resume: Some(&current.resume),
-            observer: None,
-            cancel: None,
-            search: None,
-        };
-        match run_mc_controlled(&round_cfg, &ctl) {
-            Ok(r) => {
-                if r.partial || r.tail.as_ref().is_some_and(|t| t.converged) {
-                    break;
-                }
-            }
-            // A failure-budget overrun here reproduces at the final merge
-            // under the same sample count, where it becomes the corner's
-            // Failed outcome — exactly when the local engine would error.
-            Err(_) => break,
-        }
-    }
-
-    let final_cfg = McConfig {
-        samples: n,
-        delay_samples: cfg.delay_samples.min(cfg.samples),
-        ..resolved_cfg
-    };
-    if !round_aborted {
-        serve_tail_delays(
-            corner,
-            &final_cfg,
-            opts,
-            shared,
-            current,
-            done_corners,
-            sched_total,
-            units_budget,
-            writer,
-        );
-    }
-    (final_cfg, rounds)
-}
-
-/// Serves a tail corner's delay phase. The swing derives from the
-/// *weighted* directly-estimated spec — obtained by a zero-solve
-/// re-assembly of the merged offsets under the effective config —
-/// because that is the spec the local engine's delay phase provisions
-/// for in tail mode.
-#[allow(clippy::too_many_arguments)]
-fn serve_tail_delays(
-    corner: &CampaignCorner,
-    cfg_eff: &McConfig,
-    opts: &ServeOptions,
-    shared: &Shared,
-    current: &mut CornerCheckpoint,
-    done_corners: &[CornerCheckpoint],
-    sched_total: &mut SchedStats,
-    units_budget: &mut Option<u64>,
-    writer: &mut Option<CheckpointWriter>,
-) {
-    let delay_count = cfg_eff.delay_samples.min(cfg_eff.samples);
-    if delay_count == 0 {
-        return;
-    }
-    let pending = pending_delays(&current.resume, delay_count);
-    if pending.is_empty() {
-        return;
-    }
-    let probe_cfg = McConfig {
-        delay_samples: 0,
-        ..cfg_eff.clone()
-    };
+/// Runs [`run_mc_controlled`] over the merged records without an observer
+/// or a search pool. Every caller has every offset in `[0, cfg.samples)`
+/// merged, or cancels through `cancel`, so this only computes statistics.
+fn assemble(
+    cfg: &McConfig,
+    resume: &McResume,
+    cancel: Option<&CancelToken>,
+) -> Result<McResult, SaError> {
     let ctl = McControl {
-        resume: Some(&current.resume),
-        observer: None,
-        cancel: None,
-        search: None,
+        resume: Some(resume),
+        cancel,
+        ..McControl::default()
     };
-    // No offsets at all (or a budget overrun) leaves nothing to measure;
-    // the final merge reports the corner's real outcome.
-    let Ok(assembled) = run_mc_controlled(&probe_cfg, &ctl) else {
-        return;
-    };
-    let swing = delay_swing_volts(cfg_eff, assembled.spec);
-    serve_phase(
-        corner,
-        McPhase::Delay,
-        swing.to_bits(),
-        &[],
-        &pending,
-        opts,
-        shared,
-        current,
-        done_corners,
-        sched_total,
-        units_budget,
-        writer,
-        None,
-    );
+    run_mc_controlled(cfg, &ctl)
 }
 
 /// Serves one phase of one corner to the worker fleet: installs the
 /// scheduler, waits for completion while ticking leases and draining
 /// records, quarantines exhausted units, and streams the checkpoint.
-/// When `weight_cfg` is set (tail rounds), every drained offset record
-/// is annotated with its exact importance log-weight — a pure seed-tree
-/// replay, no solves — so the checkpoint and final merge carry them.
-/// Returns `true` when the abort hook ended the phase early.
+/// `phase_cfg` is the config the step runs under: offset assignments
+/// carry its resolved tail proposal as exact bits (none for classic and
+/// pilot steps), and every drained offset record is annotated with its
+/// importance log-weight under it — a pure seed-tree replay, no solves,
+/// and nothing for weight-1 samples — so the checkpoint and the final
+/// merge carry them. Returns `true` when the abort hook ended the phase
+/// early.
 #[allow(clippy::too_many_arguments)]
 fn serve_phase(
     corner: &CampaignCorner,
     phase: McPhase,
     swing_bits: u64,
-    tail_bits: &[u64],
     pending: &[usize],
+    phase_cfg: &McConfig,
     opts: &ServeOptions,
     shared: &Shared,
     current: &mut CornerCheckpoint,
@@ -1138,7 +903,6 @@ fn serve_phase(
     sched_total: &mut SchedStats,
     units_budget: &mut Option<u64>,
     writer: &mut Option<CheckpointWriter>,
-    weight_cfg: Option<&McConfig>,
 ) -> bool {
     let drained =
         || units_budget.is_some_and(|n| n == 0) || (opts.handle_signals && interrupt::requested());
@@ -1158,13 +922,19 @@ fn serve_phase(
             ranges.len()
         );
     }
+    let tail_bits: Vec<u64> = match phase_cfg.tail.as_ref().and_then(|t| t.resolved.as_ref()) {
+        Some(p) if phase == McPhase::Offset => {
+            p.shift.iter().chain(&p.neg).map(|s| s.to_bits()).collect()
+        }
+        _ => Vec::new(),
+    };
     {
         let mut s = lock(shared);
         s.phase = Some(ActivePhase {
             corner: corner.name.clone(),
             phase,
             swing_bits,
-            tail_bits: tail_bits.to_vec(),
+            tail_bits,
             scheduler: PhaseScheduler::new(&ranges, base_id, &opts.scheduler),
             wanted: pending.iter().copied().collect(),
             collected: McResume::default(),
@@ -1244,12 +1014,10 @@ fn serve_phase(
         }
         drop(s);
 
-        if let Some(wcfg) = weight_cfg {
-            for &(i, _) in &drained.offsets {
-                let lw = tail_log_weight(wcfg, i);
-                if lw != 0.0 {
-                    current.resume.log_weights.push((i, lw));
-                }
+        for &(i, _) in &drained.offsets {
+            let lw = tail_log_weight(phase_cfg, i);
+            if lw != 0.0 {
+                current.resume.log_weights.push((i, lw));
             }
         }
         current.resume.offsets.extend(drained.offsets);

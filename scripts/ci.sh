@@ -181,7 +181,22 @@ trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR" "$TAIL_DIR"' EXIT
   "$CAMPAIGN_BIN" serve $TAIL_FLAGS --fresh --loopback 3 --unit-samples 4 \
     >tail_serve.log 2>&1
   cmp results/table2.csv tail_local.csv
-  echo "tail kill-and-resume: byte-identical table2.csv (local resume + 3-worker serve)"
+  # Distributed kill-and-resume: the 24-sample pilot is 6 four-sample
+  # units, so aborting after 8 units lands in the first corner's first
+  # adaptive round. The log proves it: the round starts, and the corner
+  # is merged partial under the round's 48-sample config (a pilot abort
+  # would report "/24 offsets"). Exit status 3 means partial.
+  # shellcheck disable=SC2086
+  "$CAMPAIGN_BIN" serve $TAIL_FLAGS --fresh --loopback 3 --unit-samples 4 \
+    --abort-after 8 >tail_serve_abort.log 2>&1 || [ $? -eq 3 ]
+  grep -q "tail round 1 to 48 samples" tail_serve_abort.log
+  grep -q "PARTIAL (.*/48 offsets)" tail_serve_abort.log
+  # shellcheck disable=SC2086
+  "$CAMPAIGN_BIN" serve $TAIL_FLAGS --loopback 3 --unit-samples 4 \
+    >tail_serve_resume.log 2>&1
+  grep -q "resuming with" tail_serve_resume.log
+  cmp results/table2.csv tail_local.csv
+  echo "tail kill-and-resume: byte-identical table2.csv (local resume, 3-worker serve, serve aborted in a round and resumed)"
 )
 rm -rf "$TAIL_DIR"
 trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR"' EXIT

@@ -5,6 +5,7 @@
 //! weight must respect the defensive-mixture bound.
 
 use issa::core::campaign::{run_campaign, CampaignCorner, CampaignOptions};
+use issa::core::checkpoint::Checkpoint;
 use issa::core::montecarlo::{run_mc, McConfig};
 use issa::core::tail::{resolve_proposal, run_tail_mc, tail_log_weight, with_resolved, TailConfig};
 use issa::dist::coordinator::{serve_campaign, DistReport, ServeOptions};
@@ -52,7 +53,39 @@ fn temp_ckpt(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("issa-tail-{}-{tag}-{n}.ckpt", std::process::id()))
 }
 
+/// A config whose rounds never converge, so the driver runs three
+/// rounds and stops at the cap.
+fn three_round_cfg() -> McConfig {
+    McConfig {
+        tail: Some(TailConfig {
+            ci_rel_target: 1e-9,
+            max_samples: PILOT + 24,
+            ..tail_cfg()
+        }),
+        ..base_cfg()
+    }
+}
+
+/// A config that arrives with its proposal already resolved: the driver
+/// runs it as one classic assembly, its units carrying the shift bits.
+fn pre_resolved_cfg() -> McConfig {
+    let cfg = base_cfg();
+    let devices = SaInstance::fresh(cfg.kind, cfg.env).devices().len();
+    let shift = vec![3.0 / (devices as f64).sqrt(); devices];
+    let neg: Vec<f64> = shift.iter().map(|s| -s).collect();
+    with_resolved(&cfg, &shift, &neg)
+}
+
 fn serve(corners: &[CampaignCorner], workers: usize) -> DistReport {
+    serve_with(corners, workers, None, None)
+}
+
+fn serve_with(
+    corners: &[CampaignCorner],
+    workers: usize,
+    checkpoint: Option<PathBuf>,
+    abort_after_units: Option<u64>,
+) -> DistReport {
     let loopback = (0..workers)
         .map(|i| WorkerOptions {
             name: format!("w{i}"),
@@ -73,6 +106,9 @@ fn serve(corners: &[CampaignCorner], workers: usize) -> DistReport {
             },
             poll: Duration::from_millis(10),
             loopback,
+            checkpoint,
+            flush_every: 1,
+            abort_after_units,
             ..ServeOptions::default()
         },
     )
@@ -215,23 +251,82 @@ fn checkpointed_tail_campaign_resumes_bit_identically() {
     );
 }
 
-/// Distributed tail estimation: the coordinator fits the proposal from
-/// merged pilot records and extends block-by-block, so any loopback
-/// worker count must merge to exactly the local `run_tail_mc` result.
+/// Distributed tail estimation: the coordinator serves the same driver
+/// steps `run_tail_mc` runs (pilot, proposal fit from the merged pilot
+/// records, block-by-block rounds), so any loopback worker count must
+/// merge to exactly the local result — for a one-round config, a
+/// three-round config, and a pre-resolved config.
 #[test]
 fn loopback_worker_count_does_not_change_tail_results() {
+    for (label, cfg, rounds) in [
+        ("one round", base_cfg(), 1),
+        ("three rounds", three_round_cfg(), 3),
+        ("pre-resolved", pre_resolved_cfg(), 0),
+    ] {
+        let reference = run_tail_mc(&cfg, &Default::default()).unwrap();
+        assert_eq!(
+            reference.tail.expect("tail summary").rounds,
+            rounds,
+            "{label}"
+        );
+        let corners = [CampaignCorner {
+            name: "tail".into(),
+            cfg,
+        }];
+        for workers in [1, 3] {
+            let report = serve(&corners, workers);
+            assert!(!report.campaign.partial, "{label}");
+            assert_eq!(
+                report.campaign.result("tail").expect("corner completes"),
+                &reference,
+                "{label}: {workers}-worker distributed tail run diverged from local"
+            );
+        }
+    }
+}
+
+/// A distributed tail corner cut short by the abort hook — once inside
+/// the pilot, once inside an adaptive round — keeps its merged records
+/// in the checkpoint, and a re-serve from that checkpoint must equal the
+/// uninterrupted local result.
+#[test]
+fn aborted_tail_serve_resumes_bit_identically() {
     let reference = run_tail_mc(&base_cfg(), &Default::default()).unwrap();
     let corners = [CampaignCorner {
         name: "tail".into(),
         cfg: base_cfg(),
     }];
-    for workers in [1, 3] {
-        let report = serve(&corners, workers);
-        assert!(!report.campaign.partial);
+    // Two-sample units: the pilot is units 1..=8, round 1 units 9..=12.
+    for (label, abort_after, in_round) in [("pilot", 3, false), ("round", 9, true)] {
+        let path = temp_ckpt(label);
+        let aborted = serve_with(&corners, 2, Some(path.clone()), Some(abort_after));
+        assert!(
+            aborted.campaign.partial,
+            "{label}: abort must cut the corner"
+        );
+        let kept = Checkpoint::load(&path).expect("aborted serve keeps its checkpoint");
+        let offsets = kept
+            .corner("tail")
+            .expect("corner records")
+            .resume
+            .offsets
+            .len();
+        assert_eq!(offsets > PILOT, in_round, "{label}: {offsets} offsets kept");
+
+        let resumed = serve_with(&corners, 2, Some(path.clone()), None);
+        assert!(!resumed.campaign.partial, "{label}");
+        assert!(
+            resumed.campaign.resumed_records > 0,
+            "{label}: nothing restored"
+        );
+        assert!(
+            !path.exists(),
+            "{label}: completed serve must remove checkpoint"
+        );
         assert_eq!(
-            report.campaign.result("tail").expect("corner completes"),
+            resumed.campaign.result("tail").expect("corner completes"),
             &reference,
-            "{workers}-worker distributed tail run diverged from local"
+            "{label}: resumed distributed tail corner diverged from local"
         );
     }
 }
